@@ -1,5 +1,5 @@
 // bench_hotpath — the zero-allocation steady-state contract plus the
-// planned-vs-legacy hot-path speedup, tracked per PR as BENCH_hotpath.json.
+// planned-vs-legacy engine speedup, recorded in BENCH_hotpath.json.
 //
 // Three measurements over the Table I proxy MLP with the full effect stack:
 //
@@ -11,25 +11,21 @@
 //     per request in steady state, and bit-identical logits to legacy.
 //
 //   * serving — the full single-worker runtime (submit -> queue -> batcher ->
-//     shard -> future) over the canonical mixed-size burst trace, with
-//     use_execution_plan off vs on, plus a third arm with use_executor on
-//     (drain tasks on the xl::exec pool instead of a dedicated worker
-//     thread). Requests/s must improve; logits must be bit-identical across
-//     all three arms.
+//     shard -> future) over the canonical mixed-size burst trace. Every
+//     served request's logits must be bit-identical to the same request run
+//     alone through PhotonicInferenceEngine::infer_batch from the boot
+//     effect state (the serving determinism contract).
 //
 //   * dispatch latency — sequential lone 1-sample requests with deadline 0:
-//     p50/p99 of submit -> get in thread mode vs executor mode. Gated as
-//     threads/executor ratios (higher = executor dispatches faster); the
-//     executor's inline dispatch removes the cross-thread wakeup from the
-//     lone-request tail.
+//     p50/p99 of submit -> get (informational; machine-bound).
 //
 // The JSON carries a top-level "metrics" object of machine-portable numbers
 // (ratios and the alloc count — never absolute times), gated by
 // tools/check_bench_regression.py against bench/baselines/BENCH_hotpath.json;
 // "allocs_per_request" is hard-gated to zero regardless of baseline.
 //
-/// Exit status: non-zero when a steady-state allocation is observed, logits
-// diverge between paths, or the serving speedup falls below kMinSpeedup.
+/// Exit status: non-zero when a steady-state allocation is observed or
+/// logits diverge from their reference.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -63,9 +59,6 @@ constexpr std::size_t kRequests = 96;
 constexpr std::size_t kServingRepeats = 3;
 constexpr std::size_t kLatencyRequests = 64;
 constexpr std::size_t kLatencyRepeats = 3;
-/// ISSUE acceptance floor: planned single-worker serving throughput must be
-/// at least this multiple of the legacy path on the same machine and trace.
-constexpr double kMinSpeedup = 1.3;
 
 double elapsed_us(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -124,7 +117,7 @@ EngineResult run_engine_planned(const Tensor& batch) {
   const RowViewIn in{batch.data(), batch.dim(0)};
   const RowViewOut out{r.last_logits.data(), batch.dim(0)};
 
-  // Warm-up: the first execution may grow lazily initialized thread/OpenMP
+  // Warm-up: the first execution may grow lazily initialized per-lane
   // scratch; everything after it must be allocation-free.
   engine.engine().reset_effects();
   engine.infer_views({&in, 1}, {&out, 1});
@@ -149,20 +142,16 @@ struct ServingResult {
   double wall_us = 0.0;
   double requests_per_s = 0.0;
   double samples_per_s = 0.0;
-  double checksum = 0.0;
   std::vector<Tensor> logits;
 };
 
 ServingResult run_serving(xl::dnn::Network& prototype,
-                          const std::vector<Tensor>& trace, bool use_plan,
-                          bool use_executor = false) {
+                          const std::vector<Tensor>& trace) {
   using namespace xl;
   serve::ServingOptions options;
   options.workers = 1;
   options.max_batch = kMaxBatch;
   options.deadline_us = 200.0;
-  options.use_execution_plan = use_plan;
-  options.use_executor = use_executor;
 
   serve::ServingRuntime runtime(full_effects_vdp(), options);
   runtime.register_model(serve::table1_proxy_served_model(prototype));
@@ -182,9 +171,6 @@ ServingResult run_serving(xl::dnn::Network& prototype,
     for (auto& future : futures) {
       serve::InferResult res = future.get();
       samples += res.logits.dim(0);
-      for (std::size_t j = 0; j < res.logits.numel(); ++j) {
-        r.checksum += static_cast<double>(res.logits[j]);
-      }
       r.logits.push_back(std::move(res.logits));
     }
     r.wall_us = elapsed_us(t0, serve::Clock::now());
@@ -204,17 +190,14 @@ struct LatencyResult {
 
 /// Single-request dispatch latency: sequential submit -> get over lone
 /// one-sample requests with deadline 0, so each measured interval is queue
-/// wakeup + dispatch + one planned inference — the exact path the executor
-/// rework targets (no batching, no pipelining to hide the wakeup).
-LatencyResult run_dispatch_latency(xl::dnn::Network& prototype,
-                                   bool use_executor) {
+/// wakeup + dispatch + one planned inference (no batching, no pipelining to
+/// hide the wakeup).
+LatencyResult run_dispatch_latency(xl::dnn::Network& prototype) {
   using namespace xl;
   serve::ServingOptions options;
   options.workers = 1;
   options.max_batch = kMaxBatch;
   options.deadline_us = 0.0;
-  options.use_execution_plan = true;
-  options.use_executor = use_executor;
 
   serve::ServingRuntime runtime(full_effects_vdp(), options);
   runtime.register_model(serve::table1_proxy_served_model(prototype));
@@ -244,6 +227,20 @@ LatencyResult run_dispatch_latency(xl::dnn::Network& prototype,
 bool bit_identical(const Tensor& a, const Tensor& b) {
   return a.numel() == b.numel() &&
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Each request alone through the unplanned engine, from the boot effect
+/// state: the reference every served request must match bit for bit.
+std::vector<Tensor> direct_logits(const std::vector<Tensor>& trace) {
+  xl::dnn::Network net = make_proxy();
+  PhotonicInferenceEngine engine(net, full_effects_vdp());
+  std::vector<Tensor> logits;
+  logits.reserve(trace.size());
+  for (const Tensor& input : trace) {
+    engine.engine().reset_effects();
+    logits.push_back(engine.infer_batch(input));
+  }
+  return logits;
 }
 
 }  // namespace
@@ -277,57 +274,27 @@ int main(int argc, char** argv) {
       dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/3);
   const std::vector<Tensor> trace =
       serve::make_mixed_size_trace(data, kRequests, kMaxBatch);
-  const ServingResult serve_legacy = run_serving(prototype, trace, false);
-  const ServingResult serve_planned = run_serving(prototype, trace, true);
-  const ServingResult serve_executor =
-      run_serving(prototype, trace, true, /*use_executor=*/true);
-  const double serving_speedup =
-      serve_legacy.wall_us / serve_planned.wall_us;
-  const double executor_speedup = serve_planned.wall_us / serve_executor.wall_us;
-  bool serving_identical = serve_legacy.logits.size() == serve_planned.logits.size();
-  for (std::size_t i = 0; serving_identical && i < serve_legacy.logits.size(); ++i) {
-    serving_identical = bit_identical(serve_legacy.logits[i], serve_planned.logits[i]);
-  }
-  bool executor_identical =
-      serve_planned.logits.size() == serve_executor.logits.size();
-  for (std::size_t i = 0; executor_identical && i < serve_planned.logits.size();
-       ++i) {
-    executor_identical =
-        bit_identical(serve_planned.logits[i], serve_executor.logits[i]);
+  const ServingResult served = run_serving(prototype, trace);
+  const std::vector<Tensor> reference = direct_logits(trace);
+  bool serving_identical = served.logits.size() == reference.size();
+  for (std::size_t i = 0; serving_identical && i < reference.size(); ++i) {
+    serving_identical = bit_identical(reference[i], served.logits[i]);
   }
 
   std::printf("\nserving (1 worker, %zu mixed-size requests, best of %zu):\n",
               kRequests, kServingRepeats);
-  std::printf("  legacy  : %8.0f samples/s (%.0f req/s)\n",
-              serve_legacy.samples_per_s, serve_legacy.requests_per_s);
-  std::printf("  planned : %8.0f samples/s (%.0f req/s) -> %.2fx\n",
-              serve_planned.samples_per_s, serve_planned.requests_per_s,
-              serving_speedup);
-  std::printf("  executor: %8.0f samples/s (%.0f req/s) -> %.2fx vs threads\n",
-              serve_executor.samples_per_s, serve_executor.requests_per_s,
-              executor_speedup);
-  std::printf("  logits bit-identical: %s (executor: %s)\n",
-              serving_identical ? "yes" : "NO", executor_identical ? "yes" : "NO");
-  std::printf("  speedup >= %.2fx: %s\n", kMinSpeedup,
-              serving_speedup >= kMinSpeedup ? "yes" : "NO");
-  pass = pass && serving_identical && executor_identical &&
-         serving_speedup >= kMinSpeedup;
+  std::printf("  planned : %8.0f samples/s (%.0f req/s)\n", served.samples_per_s,
+              served.requests_per_s);
+  std::printf("  logits bit-identical to direct engine: %s\n",
+              serving_identical ? "yes" : "NO");
+  pass = pass && serving_identical;
 
   // --- Single-request dispatch latency -----------------------------------
-  const LatencyResult lat_threads = run_dispatch_latency(prototype, false);
-  const LatencyResult lat_executor = run_dispatch_latency(prototype, true);
-  // Gated as ratios (threads / executor; higher = executor dispatches
-  // faster) — absolute microseconds are machine-bound and informational.
-  const double lat_p50_ratio = lat_threads.p50_us / lat_executor.p50_us;
-  const double lat_p99_ratio = lat_threads.p99_us / lat_executor.p99_us;
+  const LatencyResult latency = run_dispatch_latency(prototype);
   std::printf("\ndispatch latency (1 worker, lone 1-sample requests, "
               "deadline 0, best of %zu x %zu):\n",
               kLatencyRepeats, kLatencyRequests);
-  std::printf("  threads : p50 %8.1f us | p99 %8.1f us\n", lat_threads.p50_us,
-              lat_threads.p99_us);
-  std::printf("  executor: p50 %8.1f us | p99 %8.1f us -> %.2fx / %.2fx\n",
-              lat_executor.p50_us, lat_executor.p99_us, lat_p50_ratio,
-              lat_p99_ratio);
+  std::printf("  p50 %8.1f us | p99 %8.1f us\n", latency.p50_us, latency.p99_us);
 
   // --- JSON ---------------------------------------------------------------
   api::JsonWriter writer;
@@ -339,26 +306,17 @@ int main(int argc, char** argv) {
   writer.field("requests", kRequests);
   writer.field("engine_us_per_batch_legacy", legacy.us_per_batch);
   writer.field("engine_us_per_batch_planned", planned.us_per_batch);
-  writer.field("serving_samples_per_s_legacy", serve_legacy.samples_per_s);
-  writer.field("serving_samples_per_s_planned", serve_planned.samples_per_s);
-  writer.field("serving_samples_per_s_executor", serve_executor.samples_per_s);
+  writer.field("serving_samples_per_s_planned", served.samples_per_s);
   writer.field("engine_logits_bit_identical", engine_identical);
   writer.field("serving_logits_bit_identical", serving_identical);
-  writer.field("executor_logits_bit_identical", executor_identical);
   writer.field("arena_regrows_steady_state", planned.arena_regrows);
-  writer.field("dispatch_p50_us_threads", lat_threads.p50_us);
-  writer.field("dispatch_p99_us_threads", lat_threads.p99_us);
-  writer.field("dispatch_p50_us_executor", lat_executor.p50_us);
-  writer.field("dispatch_p99_us_executor", lat_executor.p99_us);
-  // Machine-portable gated metrics: ratios of same-machine runs plus the
+  writer.field("dispatch_p50_us", latency.p50_us);
+  writer.field("dispatch_p99_us", latency.p99_us);
+  // Machine-portable gated metrics: a ratio of same-machine runs plus the
   // hard-zero allocation count (see tools/check_bench_regression.py).
   writer.begin_object("metrics");
   writer.field("allocs_per_request", planned.allocs_per_request);
   writer.field("engine_speedup_planned_vs_legacy", engine_speedup);
-  writer.field("serving_speedup_planned_vs_legacy", serving_speedup);
-  writer.field("serving_speedup_executor_vs_threads", executor_speedup);
-  writer.field("latency_p50_executor_vs_threads", lat_p50_ratio);
-  writer.field("latency_p99_executor_vs_threads", lat_p99_ratio);
   writer.end_object();
 
   std::ofstream out(out_path);

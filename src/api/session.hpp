@@ -92,11 +92,11 @@ class Session {
                                                const dnn::Dataset& dataset);
 
   /// Fig. 6 design-space exploration routed through the registry: every
-  /// candidate (N, K, n, m, variant, resolution, budget) is evaluated
-  /// OpenMP-parallel by the analytical backend matching its variant, with
-  /// the session config supplying the remaining knobs. The result carries
-  /// the ranked points, the (fps, epb, area, power) Pareto front, flagged
-  /// degenerate candidates, and cache statistics. The engine's memo
+  /// candidate (N, K, n, m, variant, resolution, budget) is evaluated in
+  /// parallel on the xl::exec pool by the analytical backend matching its
+  /// variant, with the session config supplying the remaining knobs. The
+  /// result carries the ranked points, the (fps, epb, area, power) Pareto
+  /// front, flagged degenerate candidates, and cache statistics. The engine's memo
   /// persists across calls on one session (a repeated or overlapping sweep
   /// re-pays nothing; set_config clears it). The analytical backends are
   /// effects-insensitive, so a sweep with more than one EffectConfig is

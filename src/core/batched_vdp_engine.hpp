@@ -14,9 +14,9 @@
 // element is bit-identical to the scalar sim.dot(X.row(b), W.row(o)) —
 // verified by tests/test_batched_vdp_engine.cpp.
 //
-// Output tiles are processed in parallel on the xl::exec work-stealing pool
-// (or OpenMP under -DXL_USE_OPENMP=ON); each element is owned by exactly one
-// tile, so results are deterministic for any thread count and steal order.
+// Output tiles are processed in parallel on the xl::exec work-stealing pool;
+// each element is owned by exactly one tile, so results are deterministic
+// for any thread count and steal order.
 #pragma once
 
 #include <cstddef>
@@ -162,17 +162,15 @@ class BatchedVdpEngine {
   void reset_stats() noexcept { stats_ = BatchedVdpStats{}; }
 
  private:
-  /// Per-lane (executor) / per-thread (OpenMP) reusable buffers for the
-  /// planned GEMM path. Heap
-  /// pointers (not values) so entries never move when the pool grows and
-  /// false sharing between threads is avoided.
+  /// Per-lane reusable buffers for the planned GEMM path. Heap pointers
+  /// (not values) so entries never move when the pool grows and false
+  /// sharing between lanes is avoided.
   struct ThreadScratch {
     xl::photonics::VdpScratch scratch;
     std::vector<unsigned char> neg;  ///< Folded-sign row (>= k entries).
   };
 
-  /// Grow the pool to the current lane/thread budget (exec::width(), or
-  /// omp_get_max_threads() under XL_USE_OPENMP); returns it.
+  /// Grow the pool to the current lane budget (exec::width()); returns it.
   std::vector<std::unique_ptr<ThreadScratch>>& thread_pool();
 
   VdpSimOptions opts_;

@@ -12,10 +12,6 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "exec/exec.hpp"
 
 namespace xl::core {
@@ -174,7 +170,7 @@ const DsePoint& DseResult::best() const {
         "DseResult::best: every candidate evaluated degenerate (" +
         std::to_string(rejected.size()) + " rejected)");
   }
-  throw std::invalid_argument("best_point: empty sweep");
+  throw std::invalid_argument("DseResult::best: empty sweep");
 }
 
 std::vector<DsePoint> pareto_front(const std::vector<DsePoint>& points) {
@@ -315,30 +311,10 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
   std::vector<AcceleratorReport> reports(jobs.size());
   const auto total = jobs.size();
   if (options_.parallel) {
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-    std::size_t done = 0;
-    std::exception_ptr failure;
-#pragma omp parallel for schedule(dynamic)
-    for (long long i = 0; i < static_cast<long long>(jobs.size()); ++i) {
-      try {
-        reports[i] = evaluate(*jobs[i].candidate, *jobs[i].model);
-        if (options_.progress) {
-          // Increment and report under one critical section so the observed
-          // counts are monotone even when worker threads race to report.
-#pragma omp critical(xl_dse_progress)
-          options_.progress(++done, total);
-        }
-      } catch (...) {
-#pragma omp critical(xl_dse_failure)
-        if (!failure) failure = std::current_exception();
-      }
-    }
-    if (failure) std::rethrow_exception(failure);
-#else
-    // Executor build: the progress counter and first-failure capture are
-    // mutex-free accumulators. fetch_add gives each completion a unique
-    // monotone count; the exchange elects the one lane that records the
-    // exception, published with release and re-read with acquire below.
+    // The progress counter and first-failure capture are mutex-free
+    // accumulators. fetch_add gives each completion a unique monotone
+    // count; the exchange elects the one lane that records the exception,
+    // published with release and re-read with acquire below.
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failure_claimed{false};
     std::atomic<bool> failure_published{false};
@@ -364,7 +340,6 @@ std::vector<DseMemoEntry> DseEngine::evaluate_missing(
     if (failure_published.load(std::memory_order_acquire)) {
       std::rethrow_exception(failure);
     }
-#endif
   } else {
     std::size_t done = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -441,8 +416,8 @@ std::size_t DseEngine::import_memo(const DseMemo& memo) {
 DseResult DseEngine::run(const DseSweep& sweep,
                          const std::vector<xl::dnn::ModelSpec>& models,
                          const DseCandidateEvaluator& evaluate) {
-  if (models.empty()) throw std::invalid_argument("run_dse: no models");
-  if (!evaluate) throw std::invalid_argument("run_dse: null evaluator");
+  if (models.empty()) throw std::invalid_argument("DseEngine::run: no models");
+  if (!evaluate) throw std::invalid_argument("DseEngine::run: null evaluator");
 
   DseResult result;
   const std::vector<DseCandidate> admitted =

@@ -1,9 +1,10 @@
 // DseEngine — the parallel, memoizing design-space exploration subsystem.
 //
 // The sweep grid (tuple axes x scenario axes) is flattened into a dense
-// candidate queue; candidates are evaluated OpenMP-parallel with results
-// written into a pre-sized vector indexed by job id, so the outcome is
-// bit-identical to the serial path for any thread count and schedule. A
+// candidate queue; candidates are evaluated in parallel on the xl::exec pool
+// with results written into a pre-sized vector indexed by job id, so the
+// outcome is bit-identical to the serial path for any thread count and
+// schedule. A
 // per-(configuration, model) memo cache persists across run() calls on the
 // same engine: overlapping axes (e.g. several area budgets over the same
 // tuples) and repeated sweeps never pay a second evaluation.
@@ -33,13 +34,13 @@ struct DseCandidate {
 };
 
 /// Candidate-level evaluator. MUST be thread-safe when the engine runs in
-/// parallel mode: it is invoked concurrently from OpenMP worker threads.
+/// parallel mode: it is invoked concurrently from xl::exec pool lanes.
 using DseCandidateEvaluator =
     std::function<AcceleratorReport(const DseCandidate&, const xl::dnn::ModelSpec&)>;
 
 /// Progress observer, called after every completed evaluator job with
-/// (jobs done, jobs total). Invoked under a critical section in parallel
-/// runs; completion order is nondeterministic, the counts are monotone.
+/// (jobs done, jobs total). Each count is unique; in parallel runs calls
+/// may arrive from concurrent lanes, slightly out of count order.
 using DseProgress = std::function<void(std::size_t done, std::size_t total)>;
 
 struct DseStats {
@@ -113,8 +114,7 @@ struct DseResult {
 class DseEngine {
  public:
   struct Options {
-    bool parallel = true;      ///< Parallel candidate evaluation (xl::exec
-                               ///< pool, or OpenMP under XL_USE_OPENMP).
+    bool parallel = true;      ///< Parallel candidate evaluation (xl::exec).
     bool cache_enabled = true; ///< Memoize reports across run() calls.
     std::size_t top_k = 0;     ///< Keep only the k best points (0 = all).
     /// Optional progress callback. Counts are unique and each call observes

@@ -1,10 +1,9 @@
 // xl::exec — the persistent work-stealing executor under the whole
-// parallel spine (numerics GEMM, core batched VDP + DSE, serve, fleet).
+// parallel spine (numerics GEMM, core batched VDP + DSE, fleet).
 //
-// Why it exists: PR 6/8 removed compute and allocator overhead from the
-// hot path, but every inference still paid OpenMP fork-join setup and
-// barrier cost per GEMM region, and serve/fleet parked one dedicated OS
-// thread per component. This pool is created once per process (or per
+// Why it exists: a fork-join runtime pays thread setup and barrier cost per
+// GEMM region, and a dedicated OS thread per fleet component idles between
+// bursts. This pool is created once per process (or per
 // test scope), keeps its workers parked on a condvar parking lot between
 // bursts, and exposes two primitives:
 //
@@ -22,7 +21,7 @@
 //     service thread (grown on demand, parked when idle, reused across
 //     runtimes/nodes) for loops that sleep or block on I/O, pacing, or
 //     condition variables. Blocking tasks never occupy a CPU lane, so a
-//     serve drain waiting out a batching deadline cannot starve a GEMM.
+//     fleet pump waiting on its transport cannot starve a GEMM.
 //
 // Distribution (deterministic decomposition, dynamic placement): the
 // caller keeps a leading share of tiles for itself and publishes the rest
@@ -39,13 +38,12 @@
 // (exec.hpp provides the lambda trampoline). When every slot is busy or
 // the pool has one lane, the call degrades to inline serial execution of
 // the same tile set. Nested parallel_for calls (from inside a tile) are
-// serialized inline, matching OpenMP's nested-disabled default.
+// serialized inline.
 //
 // Width resolution mirrors XL_DISABLE_SIMD: the XL_EXEC_THREADS
 // environment variable overrides the default hardware_concurrency width
 // (resolved once, at first use); tests pin widths in-process with
-// ScopedPool. CMake's XL_USE_OPENMP=ON keeps the original OpenMP regions
-// for A/B benching — this pool is the default.
+// ScopedPool. This pool is the only parallel runtime in the build.
 #pragma once
 
 #include <array>
@@ -100,7 +98,7 @@ class TaskPool {
   explicit TaskPool(std::size_t lanes);
 
   /// Joins CPU workers and blocking-lane threads. Every submit_blocking
-  /// task must have completed (the serve/fleet stop paths wait on their
+  /// task must have completed (the fleet stop paths wait on their
   /// handles before tearing the pool down) — a task still blocked inside
   /// its body would hang the join, by design: losing it silently would be
   /// worse.
@@ -119,8 +117,8 @@ class TaskPool {
 
   /// Run fn on a cached blocking-service thread. Returns immediately;
   /// the handle's wait() blocks until fn returned. Threads are grown on
-  /// demand, parked when idle, and reused across submissions — replacing
-  /// the one-std::thread-per-component pattern in serve and fleet.
+  /// demand, parked when idle, and reused across submissions — the fleet
+  /// pump, halo and completer tasks run here.
   /// Throws std::runtime_error after shutdown began.
   TaskHandle submit_blocking(std::function<void()> fn);
 

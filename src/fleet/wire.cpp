@@ -1,6 +1,7 @@
 #include "fleet/wire.hpp"
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace xl::fleet {
@@ -160,7 +161,20 @@ dnn::Tensor read_tensor(WireReader& r) {
     throw std::runtime_error("fleet wire: tensor rank out of range");
   }
   dnn::Shape shape(static_cast<std::size_t>(rank));
-  for (auto& dim : shape) dim = static_cast<std::size_t>(r.u64());
+  std::uint64_t numel = 1;
+  for (auto& dim : shape) {
+    const std::uint64_t d = r.u64();
+    if (d != 0 && numel > std::numeric_limits<std::uint64_t>::max() / d) {
+      throw std::runtime_error("fleet wire: tensor shape overflows");
+    }
+    numel *= d;
+    dim = static_cast<std::size_t>(d);
+  }
+  // Check the declared payload against the bytes actually present before
+  // allocating: a corrupt or hostile shape must not size the allocation.
+  if (numel > r.remaining() / sizeof(float)) {
+    throw std::runtime_error("fleet wire: tensor payload larger than the frame");
+  }
   dnn::Tensor tensor(shape);
   float* data = tensor.data();
   for (std::size_t i = 0; i < tensor.numel(); ++i) data[i] = r.f32();
@@ -220,6 +234,11 @@ void write_memo(WireWriter& w, const core::DseMemo& memo) {
 core::DseMemo read_memo(WireReader& r) {
   core::DseMemo memo;
   const std::uint64_t count = r.u64();
+  // Every entry starts with its key's u64 length, so a count beyond
+  // remaining() / 8 cannot be honest; reject it before reserving.
+  if (count > r.remaining() / sizeof(std::uint64_t)) {
+    throw std::runtime_error("fleet wire: memo count larger than the frame");
+  }
   memo.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     core::DseMemoEntry entry;

@@ -113,6 +113,10 @@ class WireReader {
   [[nodiscard]] std::string str();
 
   [[nodiscard]] bool done() const noexcept { return cursor_ == buffer_.size(); }
+  /// Unread payload bytes: the ceiling for any length a frame declares.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return buffer_.size() - cursor_;
+  }
   /// Throws unless the payload was consumed exactly — catches both frame
   /// truncation and schema drift between sender and receiver.
   void expect_done() const;

@@ -25,11 +25,11 @@ namespace xl::numerics {
 [[nodiscard]] Vector row_abs_max(const Matrix& m);
 
 /// C = A * B^T: A is (m x k), B is (n x k), C is (m x n). Throws
-/// std::invalid_argument on inner-dimension mismatch. Parallelized over row
-/// tiles (`tile` rows of A per OpenMP work item; 0 selects the default of
-/// 64, documented in the implementation) — results are deterministic and
-/// tile-independent (each output element is owned by exactly one iteration
-/// and accumulates in a fixed order).
+/// std::invalid_argument on inner-dimension mismatch. Parallelized on the
+/// xl::exec pool over row tiles (`tile` rows of A per work item; 0 selects
+/// the default of 64, documented in the implementation) — results are
+/// deterministic and tile-independent (each output element is owned by
+/// exactly one iteration and accumulates in a fixed order).
 [[nodiscard]] Matrix matmul_transposed(const Matrix& a, const Matrix& b,
                                        std::size_t tile = 64);
 

@@ -26,8 +26,13 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("expression '" + std::string(text_) + "': " +
-                                what + " at position " + std::to_string(pos_));
+    // Quote a bounded prefix: a pathological value can be megabytes long.
+    constexpr std::size_t kQuoteMax = 80;
+    const std::string quoted = text_.size() <= kQuoteMax
+                                   ? std::string(text_)
+                                   : std::string(text_.substr(0, kQuoteMax)) + "...";
+    throw std::invalid_argument("expression '" + quoted + "': " + what +
+                                " at position " + std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -79,15 +84,26 @@ class Parser {
   }
 
   double factor() {
-    skip_ws();
-    if (eat('(')) {
-      const double value = expr();
-      if (!eat(')')) fail("missing ')'");
-      return value;
+    // Every '(' and unary sign recurses through here: the innermost factor
+    // of n nested levels is entered with depth_ == n.
+    if (depth_ > kMaxExpressionDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxExpressionDepth) + " levels");
     }
-    if (eat('-')) return -factor();
-    if (eat('+')) return factor();
-    return number();
+    ++depth_;
+    skip_ws();
+    double value = 0.0;
+    if (eat('(')) {
+      value = expr();
+      if (!eat(')')) fail("missing ')'");
+    } else if (eat('-')) {
+      value = -factor();
+    } else if (eat('+')) {
+      value = factor();
+    } else {
+      value = number();
+    }
+    --depth_;
+    return value;
   }
 
   double number() {
@@ -112,6 +128,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Enclosing '(' and unary-sign levels.
 };
 
 }  // namespace

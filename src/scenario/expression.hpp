@@ -11,13 +11,20 @@
 //   eval_expression("0xC0FFEE")      == 12648430.0
 //   eval_expression("3 % 2 - 0.5")   == 0.5
 //
-// Errors (stray characters, unbalanced parentheses, division by zero)
-// throw std::invalid_argument quoting the offending expression.
+// Errors (stray characters, unbalanced parentheses, division by zero,
+// nesting deeper than kMaxExpressionDepth) throw std::invalid_argument
+// quoting the offending expression.
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 namespace xl::scenario {
+
+/// Deepest nesting of parentheses and unary signs the evaluator accepts.
+/// The parser recurses once per level, so the bound keeps a hostile
+/// scenario value from overflowing the stack.
+inline constexpr std::size_t kMaxExpressionDepth = 256;
 
 /// Evaluate one arithmetic expression. Throws std::invalid_argument on any
 /// syntax error, naming the expression text and the position.

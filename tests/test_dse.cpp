@@ -1,5 +1,5 @@
-// Design-space exploration tests (Fig. 6): the legacy run_dse wrappers and
-// the parallel, memoizing DseEngine behind them.
+// Design-space exploration tests (Fig. 6): the parallel, memoizing
+// DseEngine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +12,6 @@
 #include "dnn/models.hpp"
 #include "exec/task_pool.hpp"
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-#include <omp.h>
-#endif
-
 namespace xl::core {
 namespace {
 
@@ -27,6 +23,12 @@ DseSweep small_sweep() {
   sweep.conv_unit_counts = {50, 100};
   sweep.fc_unit_counts = {30, 60};
   return sweep;
+}
+
+/// Ranked points of one sweep on a fresh engine (built-in evaluator).
+std::vector<DsePoint> sweep_points(const DseSweep& sweep,
+                                   const std::vector<xl::dnn::ModelSpec>& models) {
+  return DseEngine().run(sweep, models).points;
 }
 
 void expect_points_identical(const std::vector<DsePoint>& a,
@@ -48,7 +50,7 @@ void expect_points_identical(const std::vector<DsePoint>& a,
 }
 
 TEST(Dse, ProducesSortedPoints) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = sweep_points(small_sweep(), xl::dnn::table1_models());
   ASSERT_FALSE(points.empty());
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GE(points[i - 1].fps_per_epb(), points[i].fps_per_epb());
@@ -56,20 +58,20 @@ TEST(Dse, ProducesSortedPoints) {
 }
 
 TEST(Dse, BestPointIsFront) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
-  const DsePoint& best = best_point(points);
-  EXPECT_DOUBLE_EQ(best.fps_per_epb(), points.front().fps_per_epb());
-  EXPECT_THROW((void)best_point({}), std::invalid_argument);
+  const DseResult result = DseEngine().run(small_sweep(), xl::dnn::table1_models());
+  const DsePoint& best = result.best();
+  EXPECT_DOUBLE_EQ(best.fps_per_epb(), result.points.front().fps_per_epb());
+  EXPECT_THROW((void)DseResult{}.best(), std::invalid_argument);
 }
 
 TEST(Dse, ImpossibleAreaBudgetThrows) {
   DseSweep sweep = small_sweep();
   sweep.max_area_mm2 = 1.0;  // Impossible budget.
   // A budget that rejects every candidate used to yield an empty result and
-  // a confusing "best_point: empty sweep" throw much later; it is now an
+  // a confusing "empty sweep" throw much later; it is now an
   // immediate, named error.
   try {
-    (void)run_dse(sweep, xl::dnn::table1_models());
+    (void)sweep_points(sweep, xl::dnn::table1_models());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("area budget"), std::string::npos) << e.what();
@@ -79,7 +81,7 @@ TEST(Dse, ImpossibleAreaBudgetThrows) {
 TEST(Dse, AllPointsRespectAreaBudget) {
   DseSweep sweep = small_sweep();
   sweep.max_area_mm2 = 30.0;
-  const auto points = run_dse(sweep, xl::dnn::table1_models());
+  const auto points = sweep_points(sweep, xl::dnn::table1_models());
   for (const auto& p : points) {
     EXPECT_LE(p.area_mm2, 30.0);
   }
@@ -91,7 +93,7 @@ TEST(Dse, PaperConfigurationCompetitive) {
   // serialization costs, mildly favouring larger N — see EXPERIMENTS.md);
   // it must still be competitive: upper half of the sweep and within ~2.5x
   // of the best point's FPS/EPB.
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = sweep_points(small_sweep(), xl::dnn::table1_models());
   ASSERT_FALSE(points.empty());
   const auto it = std::find_if(points.begin(), points.end(), [](const DsePoint& p) {
     return p.conv_unit_size == 20 && p.fc_unit_size == 150 && p.conv_units == 100 &&
@@ -110,19 +112,19 @@ TEST(Dse, PaperConfigurationCompetitive) {
 TEST(Dse, OptimumIsInteriorNotMaximal) {
   // Fig. 6's message: FPS/EPB peaks at a mid-size configuration, not at the
   // largest machine. Our sweep's winner must not be the max-area point.
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = sweep_points(small_sweep(), xl::dnn::table1_models());
   ASSERT_GT(points.size(), 1u);
   double max_area = 0.0;
   for (const auto& p : points) max_area = std::max(max_area, p.area_mm2);
-  EXPECT_LT(best_point(points).area_mm2, max_area);
+  EXPECT_LT(points.front().area_mm2, max_area);
 }
 
 TEST(Dse, RejectsEmptyModelList) {
-  EXPECT_THROW((void)run_dse(small_sweep(), {}), std::invalid_argument);
+  EXPECT_THROW((void)sweep_points(small_sweep(), {}), std::invalid_argument);
 }
 
 TEST(Dse, PointMetricsPopulated) {
-  const auto points = run_dse(small_sweep(), xl::dnn::table1_models());
+  const auto points = sweep_points(small_sweep(), xl::dnn::table1_models());
   for (const auto& p : points) {
     EXPECT_GT(p.avg_fps, 0.0);
     EXPECT_GT(p.avg_epb_pj, 0.0);
@@ -182,17 +184,6 @@ TEST(DseEngine, SerialVsParallelBitIdentityAcrossThreadCounts) {
   const DseResult serial = serial_engine.run(small_sweep(), models);
   ASSERT_FALSE(serial.points.empty());
 
-#if defined(XL_USE_OPENMP) && defined(_OPENMP)
-  const int saved = omp_get_max_threads();
-  for (int threads : {1, 4, 16}) {
-    omp_set_num_threads(threads);
-    DseEngine parallel_engine;
-    const DseResult parallel = parallel_engine.run(small_sweep(), models);
-    expect_points_identical(serial.points, parallel.points);
-    expect_points_identical(serial.pareto, parallel.pareto);
-  }
-  omp_set_num_threads(saved);
-#else
   for (std::size_t lanes : {1u, 4u, 16u}) {
     xl::exec::ScopedPool scoped(lanes);
     DseEngine parallel_engine;
@@ -200,7 +191,6 @@ TEST(DseEngine, SerialVsParallelBitIdentityAcrossThreadCounts) {
     expect_points_identical(serial.points, parallel.points);
     expect_points_identical(serial.pareto, parallel.pareto);
   }
-#endif
 }
 
 TEST(DseEngine, SecondRunOfSameSweepDoesZeroEvaluatorCalls) {

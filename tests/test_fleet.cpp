@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -205,6 +206,72 @@ TEST(FleetWire, TruncatedPayloadThrows) {
   payload.pop_back();
   WireReader reader(payload);
   EXPECT_THROW((void)reader.str(), std::runtime_error);
+}
+
+/// A tensor frame declaring `dims` followed by `floats` payload values.
+std::vector<std::uint8_t> tensor_frame(const std::vector<std::uint64_t>& dims,
+                                       std::size_t floats) {
+  WireWriter writer;
+  writer.u64(dims.size());
+  for (std::uint64_t d : dims) writer.u64(d);
+  for (std::size_t i = 0; i < floats; ++i) writer.f32(1.0F);
+  return writer.take();
+}
+
+/// The fleet-wire runtime_error `read` throws on `payload`; fails otherwise.
+template <typename Read>
+std::string wire_error(const std::vector<std::uint8_t>& payload, Read read) {
+  WireReader reader(payload);
+  try {
+    (void)read(reader);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::runtime_error";
+  return {};
+}
+
+TEST(FleetWire, ReaderReportsRemainingBytes) {
+  WireWriter writer;
+  writer.u64(7);
+  writer.u32(9);
+  const std::vector<std::uint8_t> payload = writer.take();
+  WireReader reader(payload);
+  EXPECT_EQ(reader.remaining(), 12u);
+  (void)reader.u64();
+  EXPECT_EQ(reader.remaining(), 4u);
+  (void)reader.u32();
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(FleetWire, HostileTensorShapesThrowBeforeAllocating) {
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  const std::uint64_t two31 = std::uint64_t{1} << 31;
+  // 2^32 x 2^32 wraps the element count to 0 in 64 bits.
+  std::string msg = wire_error(tensor_frame({two32, two32}, 4), read_tensor);
+  EXPECT_NE(msg.find("fleet wire:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("overflows"), std::string::npos) << msg;
+  // 2^31 x 2^31 = 2^62 elements fits 64 bits but not the frame.
+  msg = wire_error(tensor_frame({two31, two31}, 4), read_tensor);
+  EXPECT_NE(msg.find("fleet wire:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("larger than the frame"), std::string::npos) << msg;
+  // A plausible shape with a short payload: 16 x 16 declared, 255 sent.
+  msg = wire_error(tensor_frame({16, 16}, 255), read_tensor);
+  EXPECT_NE(msg.find("larger than the frame"), std::string::npos) << msg;
+  // The exact payload still decodes.
+  const std::vector<std::uint8_t> exact = tensor_frame({16, 16}, 256);
+  WireReader reader(exact);
+  EXPECT_EQ(read_tensor(reader).numel(), 256u);
+  reader.expect_done();
+}
+
+TEST(FleetWire, HostileMemoCountThrowsBeforeReserving) {
+  WireWriter writer;
+  writer.u64(std::uint64_t{1} << 60);
+  writer.str("key");
+  const std::string msg = wire_error(writer.take(), read_memo);
+  EXPECT_NE(msg.find("fleet wire:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("memo count"), std::string::npos) << msg;
 }
 
 // --- partition + halo plan ---------------------------------------------------

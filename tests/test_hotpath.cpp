@@ -1,6 +1,7 @@
 // Hot-path tests: the ExecutionPlan bit-identity contract (planned execution
 // produces exactly the bytes of the legacy infer_batch path across effect
-// sets, batch shapes, and serving worker counts), the Arena workspace
+// sets and batch shapes, and served logits match a direct engine run across
+// worker counts), the Arena workspace
 // semantics (alignment, mark/rewind, exhaustion regrow, reset coalescing),
 // the training-gated activation caches, and the zero-allocation steady state
 // measured through the operator-new interposer.
@@ -267,7 +268,7 @@ TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
   const RowViewIn in_view{x.data(), 8};
   const RowViewOut out_view{out.data(), 8};
 
-  // Warm-up: first execution may touch lazily grown OpenMP/thread scratch.
+  // Warm-up: first execution may touch lazily grown per-lane scratch.
   planned.engine().reset_effects();
   planned.infer_views({&in_view, 1}, {&out_view, 1});
 
@@ -285,19 +286,19 @@ TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving: planned path == legacy path, across worker counts.
+// Serving: shard logits == a direct engine run per request, across worker
+// counts.
 // ---------------------------------------------------------------------------
 
-std::vector<Tensor> serve_trace(bool use_plan, std::size_t workers,
-                                const std::vector<Tensor>& trace) {
+const char* const kServingEffects = "thermal,noise";
+
+std::vector<Tensor> serve_trace(std::size_t workers, const std::vector<Tensor>& trace) {
   dnn::Network prototype = make_mlp();
   serve::ServingOptions options;
   options.workers = workers;
   options.max_batch = 8;
   options.deadline_us = 200.0;
-  options.use_execution_plan = use_plan;
-  VdpSimOptions vdp = vdp_with("thermal,noise");
-  serve::ServingRuntime runtime(vdp, options);
+  serve::ServingRuntime runtime(vdp_with(kServingEffects), options);
   serve::ServedModel model = serve::table1_proxy_served_model(prototype);
   runtime.register_model(std::move(model));
   runtime.start();
@@ -313,17 +314,28 @@ std::vector<Tensor> serve_trace(bool use_plan, std::size_t workers,
   return results;
 }
 
-TEST(ServingHotPath, PlannedLogitsBitIdenticalToLegacyAcrossWorkers) {
+TEST(ServingHotPath, LogitsBitIdenticalToDirectEngineAcrossWorkers) {
   const dnn::Dataset data =
       dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/3);
   const std::vector<Tensor> trace = serve::make_mixed_size_trace(data, 24, 4);
-  const std::vector<Tensor> legacy = serve_trace(false, 1, trace);
+
+  // Reference: each request alone through the unplanned engine, from the
+  // boot effect state — the serving determinism contract.
+  dnn::Network network = make_mlp();
+  PhotonicInferenceEngine direct(network, vdp_with(kServingEffects));
+  std::vector<Tensor> reference;
+  reference.reserve(trace.size());
+  for (const Tensor& input : trace) {
+    direct.engine().reset_effects();
+    reference.push_back(direct.infer_batch(input));
+  }
+
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE(workers);
-    const std::vector<Tensor> planned = serve_trace(true, workers, trace);
-    ASSERT_EQ(planned.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      expect_bit_identical(legacy[i], planned[i]);
+    const std::vector<Tensor> served = serve_trace(workers, trace);
+    ASSERT_EQ(served.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      expect_bit_identical(reference[i], served[i]);
     }
   }
 }

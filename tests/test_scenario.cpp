@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "scenario/expression.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
@@ -116,6 +117,37 @@ TEST(Scenario, UndefinedVarNamesTheVariable) {
   const std::string msg = thrown_message(
       [] { (void)parse_text("[serving]\nworkers = ${nope}\n"); });
   EXPECT_NE(msg.find("nope"), std::string::npos) << msg;
+}
+
+std::string nested(std::size_t depth, const std::string& core) {
+  return std::string(depth, '(') + core + std::string(depth, ')');
+}
+
+TEST(Scenario, DeeplyNestedExpressionThrowsInsteadOfOverflowing) {
+  // 300 000 levels used to recurse the parser off the end of the stack.
+  const std::string msg = thrown_message([] {
+    (void)parse_text("[datapath]\nresolution_bits = " + nested(300000, "16") + "\n");
+  });
+  EXPECT_NE(msg.find("[datapath].resolution_bits"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("nesting deeper than"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("expression '((("), std::string::npos) << msg;
+  EXPECT_LT(msg.size(), 1000u) << "the quoted expression must be bounded";
+
+  // One level past the limit throws, through parentheses and unary signs.
+  const std::size_t over = scenario::kMaxExpressionDepth + 1;
+  EXPECT_THROW((void)scenario::eval_expression(nested(over, "16")),
+               std::invalid_argument);
+  EXPECT_THROW((void)scenario::eval_expression(std::string(over, '-') + "16"),
+               std::invalid_argument);
+}
+
+TEST(Scenario, ModeratelyNestedExpressionStillEvaluates) {
+  EXPECT_EQ(scenario::eval_expression(nested(scenario::kMaxExpressionDepth, "16")),
+            16.0);
+  EXPECT_EQ(scenario::eval_expression(nested(40, "2 * (3 + -(-1))")), 8.0);
+  const ScenarioSpec spec =
+      parse_text("[datapath]\nresolution_bits = " + nested(100, "4 + 4") + "\n");
+  EXPECT_EQ(spec.config.vdp.resolution_bits, 8u);
 }
 
 TEST(Scenario, ExtensionSectionsAdmittedAndReadable) {

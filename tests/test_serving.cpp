@@ -306,62 +306,6 @@ TEST(RequestQueue, ShutdownWakesAllBlockedProducersAndConsumers) {
   }
 }
 
-// --- executor-mode serving ---------------------------------------------------
-
-// use_executor=true replaces dedicated worker threads with blocking-lane
-// drain tasks on the xl::exec pool. The replay contract is unchanged:
-// logits are bit-identical to thread mode for every worker count.
-TEST(ServingReplay, ExecutorModeBitIdenticalToThreadMode) {
-  dnn::Network prototype = make_proxy();
-  const dnn::Dataset data = proxy_dataset(48);
-  const std::vector<dnn::Tensor> trace = make_trace(data, 48);
-
-  ServingOptions thread_mode;
-  thread_mode.workers = 2;
-  thread_mode.max_batch = 12;
-  thread_mode.deadline_us = 200.0;
-  auto thread_runtime = make_runtime(prototype, thread_mode);
-  thread_runtime->start();
-  const std::vector<dnn::Tensor> reference = replay(*thread_runtime, trace);
-  thread_runtime->stop();
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ServingOptions options;
-    options.workers = workers;
-    options.max_batch = 12;
-    options.deadline_us = 200.0;
-    options.use_executor = true;
-    auto runtime = make_runtime(prototype, options);
-    runtime->start();
-    const std::vector<dnn::Tensor> logits = replay(*runtime, trace);
-    runtime->stop();
-    expect_bit_identical(reference, logits, "executor mode");
-    const ServingStats stats = runtime->stats();
-    EXPECT_EQ(stats.requests, trace.size());
-  }
-}
-
-// A lone request in executor mode is executed by a drain task dispatched
-// from submit() itself — no dedicated thread to wake. With deadline 0 the
-// request must complete promptly and stop() must not hang on idle drains.
-TEST(ServingRuntime, ExecutorModeServesLoneRequestAndStopsCleanly) {
-  dnn::Network prototype = make_proxy();
-  ServingOptions options;
-  options.workers = 1;
-  options.max_batch = 8;
-  options.deadline_us = 0.0;
-  options.use_executor = true;
-  auto runtime = make_runtime(prototype, options);
-  runtime->start();
-  const dnn::Dataset data = proxy_dataset(4);
-  const InferResult result =
-      runtime->submit("proxy", dnn::batch_images(data, 0, 1)).get();
-  EXPECT_EQ(result.logits.dim(0), 1u);
-  runtime->stop();
-  // Restartable guarantee is out of scope; stats must still be coherent.
-  EXPECT_EQ(runtime->stats().requests, 1u);
-}
-
 // --- mixed-model traffic ----------------------------------------------------
 
 TEST(ServingRuntime, MixedModelTrafficRoutesAndNeverMixesBatches) {

@@ -33,9 +33,13 @@ implementation in the tree.
 
 A missing baseline file reports without gating (exit 0) so a new bench can
 land before its first committed baseline — except the hard-zero alloc gate,
-which always bites.
+which always bites. A metric (or kernel pair) that the baseline gates but
+the current run no longer reports fails the gate, naming it: a gate must
+never vanish silently because a bench stopped emitting its number. Retiring
+a gate means deleting it from the committed baseline.
 
-Exit status: 0 on pass, 1 on any gated regression or malformed input.
+Exit status: 0 on pass, 1 on any gated regression, missing gated metric or
+malformed input.
 """
 
 import argparse
@@ -213,11 +217,11 @@ def check_metrics(args):
         print(f"{name:<40} {value:>10.3f} {base_txt:>10} "
               f"{delta_txt:>8} {status:>10}")
 
-    if baseline:
-        for name in sorted(set(baseline) - set(current)):
-            print(f"warning: baseline metric '{name}' missing from current run")
+    for name in sorted(set(baseline) - set(current)):
+        print(f"error: baseline metric '{name}' missing from current run")
+        failures += 1
     if failures:
-        print(f"FAIL: {failures} metric(s) regressed (threshold "
+        print(f"FAIL: {failures} metric(s) regressed or missing (threshold "
               f"{args.threshold:.0%}; alloc metrics hard-gated to zero)")
         return 1
     print("PASS: no metric regression"
@@ -283,13 +287,14 @@ def main():
     gm = geomean([v[2] for v in current.values()])
     print(f"{'geomean':<28} {'':>12} {'':>12} {gm:>7.2f}x")
 
-    if baseline:
-        missing = sorted(set(baseline) - set(current))
-        for label in missing:
-            print(f"warning: baseline kernel '{label}' missing from current run")
+    for label in sorted(set(baseline) - set(current)):
+        if is_masked(label, args.mask):
+            continue
+        print(f"error: baseline kernel '{label}' missing from current run")
+        failures += 1
     if failures:
         print(f"FAIL: {failures} kernel(s) regressed more than "
-              f"{args.threshold:.0%} vs baseline")
+              f"{args.threshold:.0%} vs baseline or missing")
         return 1
     print("PASS: no dispatch speedup regression"
           + (f" (threshold {args.threshold:.0%})" if baseline else

@@ -6,6 +6,8 @@ NaN is False — so a bench emitting NaN metrics would PASS the regression
 gate while measuring nothing. These tests pin the fixed behavior: malformed
 metric values (NaN, Inf, bools, strings) fail loudly with a per-metric
 message naming the offending file, for the current run AND the baseline.
+A gated metric the current run no longer reports fails the same way, so a
+gate cannot vanish silently when a bench stops emitting its number.
 
 Run from the repo root (CI does both):
     python3 -m unittest discover -s tools/tests
@@ -120,6 +122,43 @@ class GateExitStatus(unittest.TestCase):
             code, out = run_gate(leaky)
             self.assertEqual(code, 1, out)
             self.assertIn("NONZERO", out)
+
+    def test_missing_baseline_metric_fails_naming_it(self):
+        code, out = run_gate(fixture("metrics_missing.json"),
+                             "--baseline", fixture("metrics_baseline.json"))
+        self.assertEqual(code, 1, out)
+        self.assertIn("speedup_vs_serial", out)
+        self.assertIn("missing from current run", out)
+        self.assertIn("FAIL", out)
+
+    def test_masked_missing_metric_passes(self):
+        code, out = run_gate(fixture("metrics_missing.json"),
+                             "--baseline", fixture("metrics_baseline.json"),
+                             "--mask", "speedup_vs_serial")
+        self.assertEqual(code, 0, out)
+        self.assertIn("PASS", out)
+
+    def test_missing_baseline_kernel_fails_naming_it(self):
+        def kernel_rows(*names):
+            return {"benchmarks": [
+                {"name": n, "run_type": "iteration", "time_unit": "ns",
+                 "cpu_time": 100.0 if "_Scalar" in n else 50.0}
+                for n in names]}
+        with tempfile.TemporaryDirectory() as tmp:
+            current = os.path.join(tmp, "current.json")
+            baseline = os.path.join(tmp, "baseline.json")
+            with open(current, "w", encoding="utf-8") as fh:
+                json.dump(kernel_rows("BM_KernelDot_Scalar/64",
+                                      "BM_KernelDot_Dispatch/64"), fh)
+            with open(baseline, "w", encoding="utf-8") as fh:
+                json.dump(kernel_rows("BM_KernelDot_Scalar/64",
+                                      "BM_KernelDot_Dispatch/64",
+                                      "BM_KernelAxpy_Scalar/64",
+                                      "BM_KernelAxpy_Dispatch/64"), fh)
+            code, out = run_gate(current, "--baseline", baseline)
+            self.assertEqual(code, 1, out)
+            self.assertIn("Axpy/64", out)
+            self.assertIn("missing from current run", out)
 
     def test_fixture_nan_actually_contains_nan(self):
         # Guard the fixture itself: json.load must yield a real NaN, proving
