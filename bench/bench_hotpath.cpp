@@ -1,14 +1,15 @@
-// bench_hotpath — the zero-allocation steady-state contract plus the
-// planned-vs-legacy engine speedup, recorded in BENCH_hotpath.json.
+// bench_hotpath — the zero-allocation steady-state contract of planned
+// inference, recorded in BENCH_hotpath.json.
 //
 // Three measurements over the Table I proxy MLP with the full effect stack:
 //
 //   * engine — the shard inner loop in isolation: {reset_effects;
-//     infer} over a fixed max-batch of samples, legacy infer_batch vs the
-//     cached ExecutionPlan's infer_views. The planned loop runs under the
-//     operator-new interposer (numerics/alloc_counter.hpp) after one warm-up
-//     iteration; the acceptance contract is EXACTLY zero heap allocations
-//     per request in steady state, and bit-identical logits to legacy.
+//     infer_views} over a fixed max-batch of samples through the cached
+//     ExecutionPlan. The loop runs under the operator-new interposer
+//     (numerics/alloc_counter.hpp) after one warm-up iteration; the
+//     acceptance contract is EXACTLY zero heap allocations per request in
+//     steady state, and logits bit-identical to the VdpSimulator::dot
+//     oracle (tests/photonic_oracle.hpp).
 //
 //   * serving — the full single-worker runtime (submit -> queue -> batcher ->
 //     shard -> future) over the canonical mixed-size burst trace. Every
@@ -19,10 +20,10 @@
 //   * dispatch latency — sequential lone 1-sample requests with deadline 0:
 //     p50/p99 of submit -> get (informational; machine-bound).
 //
-// The JSON carries a top-level "metrics" object of machine-portable numbers
-// (ratios and the alloc count — never absolute times), gated by
-// tools/check_bench_regression.py against bench/baselines/BENCH_hotpath.json;
-// "allocs_per_request" is hard-gated to zero regardless of baseline.
+// The JSON carries a top-level "metrics" object of machine-portable numbers,
+// gated by tools/check_bench_regression.py against
+// bench/baselines/BENCH_hotpath.json; "allocs_per_request" is hard-gated to
+// zero regardless of baseline.
 //
 /// Exit status: non-zero when a steady-state allocation is observed or
 /// logits diverge from their reference.
@@ -43,6 +44,7 @@
 #include "numerics/alloc_counter.hpp"
 #include "numerics/rng.hpp"
 #include "serve/serving_runtime.hpp"
+#include "../tests/photonic_oracle.hpp"
 
 namespace {
 
@@ -86,26 +88,10 @@ Tensor make_batch(std::size_t rows) {
 
 struct EngineResult {
   double us_per_batch = 0.0;
-  double allocs_per_request = 0.0;  ///< Planned loop only; legacy leaves -1.
+  double allocs_per_request = 0.0;
   std::size_t arena_regrows = 0;
   Tensor last_logits;
 };
-
-EngineResult run_engine_legacy(const Tensor& batch) {
-  xl::dnn::Network net = make_proxy();
-  PhotonicInferenceEngine engine(net, full_effects_vdp());
-  engine.engine().reset_effects();
-  EngineResult r;
-  r.allocs_per_request = -1.0;
-  r.last_logits = engine.infer_batch(batch);  // Warm-up parity with planned.
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < kEngineIters; ++i) {
-    engine.engine().reset_effects();
-    r.last_logits = engine.infer_batch(batch);
-  }
-  r.us_per_batch = elapsed_us(t0, Clock::now()) / kEngineIters;
-  return r;
-}
 
 EngineResult run_engine_planned(const Tensor& batch) {
   xl::dnn::Network net = make_proxy();
@@ -229,8 +215,8 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-/// Each request alone through the unplanned engine, from the boot effect
-/// state: the reference every served request must match bit for bit.
+/// Each request alone through a fresh engine, from the boot effect state:
+/// the reference every served request must match bit for bit.
 std::vector<Tensor> direct_logits(const std::vector<Tensor>& trace) {
   xl::dnn::Network net = make_proxy();
   PhotonicInferenceEngine engine(net, full_effects_vdp());
@@ -252,20 +238,20 @@ int main(int argc, char** argv) {
 
   // --- Engine-level steady state -----------------------------------------
   const Tensor batch = make_batch(kMaxBatch);
-  const EngineResult legacy = run_engine_legacy(batch);
   const EngineResult planned = run_engine_planned(batch);
-  const double engine_speedup = legacy.us_per_batch / planned.us_per_batch;
-  const bool engine_identical = bit_identical(legacy.last_logits, planned.last_logits);
+  dnn::Network oracle_net = make_proxy();
+  const Tensor want = oracle::PhotonicOracle(full_effects_vdp()).infer(oracle_net, batch);
+  const bool engine_identical = bit_identical(want, planned.last_logits);
   const bool zero_alloc = planned.allocs_per_request == 0.0;
 
   std::printf("engine (batch %zu, full effects, %zu iters):\n", kMaxBatch,
               kEngineIters);
-  std::printf("  legacy  : %8.1f us/batch\n", legacy.us_per_batch);
-  std::printf("  planned : %8.1f us/batch (%.2fx) | %.0f allocs/request | "
+  std::printf("  planned : %8.1f us/batch | %.0f allocs/request | "
               "%zu arena regrows\n",
-              planned.us_per_batch, engine_speedup, planned.allocs_per_request,
+              planned.us_per_batch, planned.allocs_per_request,
               planned.arena_regrows);
-  std::printf("  logits bit-identical: %s\n", engine_identical ? "yes" : "NO");
+  std::printf("  logits bit-identical to oracle: %s\n",
+              engine_identical ? "yes" : "NO");
   pass = pass && engine_identical && zero_alloc;
 
   // --- Serving throughput (single worker) --------------------------------
@@ -304,7 +290,6 @@ int main(int argc, char** argv) {
   writer.field("max_batch", kMaxBatch);
   writer.field("engine_iters", kEngineIters);
   writer.field("requests", kRequests);
-  writer.field("engine_us_per_batch_legacy", legacy.us_per_batch);
   writer.field("engine_us_per_batch_planned", planned.us_per_batch);
   writer.field("serving_samples_per_s_planned", served.samples_per_s);
   writer.field("engine_logits_bit_identical", engine_identical);
@@ -312,11 +297,10 @@ int main(int argc, char** argv) {
   writer.field("arena_regrows_steady_state", planned.arena_regrows);
   writer.field("dispatch_p50_us", latency.p50_us);
   writer.field("dispatch_p99_us", latency.p99_us);
-  // Machine-portable gated metrics: a ratio of same-machine runs plus the
-  // hard-zero allocation count (see tools/check_bench_regression.py).
+  // Machine-portable gated metrics: the hard-zero allocation count (see
+  // tools/check_bench_regression.py).
   writer.begin_object("metrics");
   writer.field("allocs_per_request", planned.allocs_per_request);
-  writer.field("engine_speedup_planned_vs_legacy", engine_speedup);
   writer.end_object();
 
   std::ofstream out(out_path);

@@ -6,13 +6,16 @@
 // Y = X * W^T (a batch of activations against a layer's weight rows, or an
 // im2col patch matrix against conv filters). Per-call work that the scalar
 // path repeats for every output element is hoisted to once per operand:
-//   * DAC row normalization (per-row max magnitudes via numerics kernels),
+//   * DAC row normalization (per-row max magnitudes),
 //   * activation quantization, once per (sample, element),
 //   * weight quantization and the weight->detuning imprint inversion, once
-//     per (output, element) via the photonics::MrBankTransferLut code LUT.
-// The inner chunked kernel is *shared* with VdpSimulator, so every output
-// element is bit-identical to the scalar sim.dot(X.row(b), W.row(o)) —
-// verified by tests/test_batched_vdp_engine.cpp.
+//     per (output, element) via the photonics::MrBankTransferLut code LUT
+//     (pack_weights),
+//   * the Lorentzian arm transmissions, once per (output, frame) into
+//     tables the dot kernel (MrBankTransferLut::vdp_dot_tbl) reads.
+// Every output element is bit-identical to the scalar oracle
+// VdpSimulator::dot(X.row(b), W.row(o)) — verified by
+// tests/test_batched_vdp_engine.cpp.
 //
 // Output tiles are processed in parallel on the xl::exec work-stealing pool;
 // each element is owned by exactly one tile, so results are deterministic
@@ -37,6 +40,9 @@ struct BatchedVdpStats {
   std::size_t dot_products = 0;   ///< Output elements simulated.
   std::size_t macs = 0;           ///< Multiply-accumulates simulated.
   std::size_t max_batch_rows = 0; ///< Largest activation batch seen.
+  /// Calls that wrote a GemmTableCache's persistent carry table (see the
+  /// persistence rule there); transient per-call rows are not counted.
+  std::size_t table_builds = 0;
 };
 
 /// Weight-side operand of a planned GEMM, packed once at plan-compile time:
@@ -46,26 +52,37 @@ struct BatchedVdpStats {
 struct PackedGemmWeights {
   std::size_t outputs = 0;
   std::size_t k = 0;
-  numerics::Vector sw;             ///< Per-output row scale (row_abs_max).
+  numerics::Vector sw;             ///< Per-output row scale (max |w|).
   numerics::AlignedVector det;     ///< outputs * k imprint detunings.
   std::vector<unsigned char> neg;  ///< Weight sign bits.
   std::vector<unsigned char> zero; ///< Exact-zero weight flags.
 };
 
-/// Caller-owned cache of the arm transmission tables one planned GEMM
-/// consumes (photonics::MrBankTransferLut::build_carry_table/
-/// build_idle_table). The tables depend only on the packed weights and the
-/// rendered effect frame — never on activations — and a frame is a pure
-/// function of the pipeline's simulated time, so the engine revalidates by
-/// time stamp: under the serving contract (one reset_effects per
-/// micro-batch) every layer executes at the same simulated time on every
-/// batch and the Lorentzian division pass runs once, not once per call.
-/// Spans are carved from the plan arena: carry holds outputs *
-/// gemm_table_elems(k) doubles, idle gemm_table_elems(k).
+/// Caller-owned cache of the arm transmission tables one GEMM consumes
+/// (photonics::MrBankTransferLut::build_carry_table/build_idle_table). The
+/// tables depend only on the packed weights and the rendered effect frame —
+/// never on activations — and a frame is a pure function of the pipeline's
+/// simulated time, so photonic_matmul keys them by that time stamp.
+///
+/// Persistence rule: a call whose frame stamp equals `stamp` reads the
+/// cached tables. Otherwise the tables are built for this call only (each
+/// output's carry row into a per-lane scratch row, the idle table into the
+/// workspace arena) — unless the frame stamp equals `prev_stamp`, the stamp
+/// of the cache's previous call; only a frame seen on two calls in a row is
+/// written into `carry`/`idle`. Traffic that repeats its frames (serving:
+/// one reset_effects per micro-batch; static pipelines: every frame is 0)
+/// therefore builds once and hits from then on, while traffic whose frame
+/// changes on every call (evaluate_accuracy under a thermal stage) never
+/// touches the persistent pages.
+///
+/// Spans are carved by the owner (ExecutionPlan: from its arena): carry
+/// holds outputs * gemm_table_elems(k) doubles, idle gemm_table_elems(k).
+/// A cache with empty spans never persists.
 struct GemmTableCache {
   std::span<double> carry;
   std::span<double> idle;
-  double stamp = -1.0;  ///< Pipeline time of the cached frame; < 0 = empty.
+  double stamp = -1.0;       ///< Frame of the persistent tables; < 0 = empty.
+  double prev_stamp = -1.0;  ///< Frame of the previous call; < 0 = none.
 };
 
 class BatchedVdpEngine {
@@ -77,7 +94,9 @@ class BatchedVdpEngine {
   /// Photonic Y = X * W^T: X is (batch x K) activations, W is (outputs x K)
   /// weight rows, Y is (batch x outputs). Rows are normalized independently
   /// (per-sample sx, per-output sw), matching the scalar simulator's
-  /// per-dot DAC scaling. Throws std::invalid_argument on shape mismatch.
+  /// per-dot DAC scaling. An adapter over the planned overload: packs W and
+  /// runs with a call-local table cache (transient tables) and workspace.
+  /// Throws std::invalid_argument on shape mismatch.
   [[nodiscard]] numerics::Matrix photonic_matmul(const numerics::Matrix& x,
                                                  const numerics::Matrix& w);
 
@@ -86,10 +105,8 @@ class BatchedVdpEngine {
                                                      const numerics::Matrix& w);
 
   /// Quantize a float row-major (outputs x k) weight matrix into the packed
-  /// form consumed by the caller-provided-output photonic_matmul overload.
-  /// The pack reproduces the Matrix overload's weight pass exactly (same
-  /// row_abs_max kernel, same detune/sign/zero tables), so planned GEMMs are
-  /// bit-identical to the legacy path.
+  /// form consumed by the caller-provided-output photonic_matmul overload
+  /// (the weight half of VdpSimulator::dot, hoisted out of the call).
   [[nodiscard]] PackedGemmWeights pack_weights(const float* w, std::size_t outputs,
                                                std::size_t k) const;
 
@@ -102,26 +119,26 @@ class BatchedVdpEngine {
   ///     via a mark/rewind pair — the arena's steady-state usage is flat and
   ///     no heap allocation occurs once thread scratch is warm (see
   ///     warm_thread_scratch); size the arena with matmul_workspace_bytes.
-  ///   * `tables` holds this GEMM's arm-transmission tables (idle sized
-  ///     gemm_table_elems(k), carry sized outputs * gemm_table_elems(k)).
-  ///     The engine revalidates the cache against the current effect frame's
-  ///     time stamp and rebuilds only on mismatch — under the serving
-  ///     contract (reset_effects per micro-batch) the Lorentzian division
-  ///     pass runs once per plan lifetime, not once per call.
+  ///   * `tables` holds this GEMM's arm-transmission tables, validated and
+  ///     persisted under the GemmTableCache rule (idle sized
+  ///     gemm_table_elems(k), carry outputs * gemm_table_elems(k), or both
+  ///     empty). Transient tables use the per-lane scratch rows sized by
+  ///     warm_thread_scratch and the workspace arena.
   ///   * `y`, `workspace`, and `tables` must not alias `x`; calls on the
   ///     same engine must not overlap (the per-thread scratch pool is
   ///     engine-owned).
-  ///   * Bit-identity: for identical operand values this computes exactly
-  ///     the bytes of the Matrix overload — plans change where bytes live
-  ///     and when tables are built, never what is computed.
+  ///   * Bit-identity: every element equals VdpSimulator::dot on the same
+  ///     rows — the table cache changes when tables are built, never what
+  ///     is computed.
   void photonic_matmul(const float* x, std::size_t batch, std::size_t k,
                        const PackedGemmWeights& w, double* y,
                        numerics::Arena& workspace, GemmTableCache& tables);
 
   /// Upper bound of the arena bytes one planned photonic_matmul call bumps
-  /// transiently: the activation tables (sx, a_mag, x_neg). ExecutionPlan
-  /// reserves this per GEMM step so the steady state never regrows the
-  /// arena. Table storage is separate and persistent — see gemm_table_elems.
+  /// transiently: the activation tables (sx, a_mag, x_neg) and a transient
+  /// idle table. ExecutionPlan reserves this per GEMM step so the steady
+  /// state never regrows the arena. Persistent table storage is separate —
+  /// see gemm_table_elems.
   [[nodiscard]] std::size_t matmul_workspace_bytes(std::size_t batch,
                                                    std::size_t k) const;
 
@@ -131,9 +148,10 @@ class BatchedVdpEngine {
   /// outputs * gemm_table_elems(k) carry doubles.
   [[nodiscard]] std::size_t gemm_table_elems(std::size_t k) const;
 
-  /// Pre-size the per-thread vdp_dot scratch (and sign-fold rows) for
-  /// operand length `max_k`, so the first planned matmul after plan compile
-  /// is already allocation-free. Serial; call outside the hot path.
+  /// Pre-size the per-thread vdp_dot scratch, sign-fold rows and transient
+  /// carry rows for operand length `max_k`, so the first planned matmul
+  /// after plan compile is already allocation-free. Serial; call outside
+  /// the hot path.
   void warm_thread_scratch(std::size_t max_k);
 
   [[nodiscard]] const VdpSimOptions& options() const noexcept { return opts_; }
@@ -141,8 +159,6 @@ class BatchedVdpEngine {
   [[nodiscard]] const xl::photonics::MrBankTransferLut& lut() const noexcept {
     return sim_.lut();
   }
-  /// Scalar reference simulator over the same bank (for parity checks).
-  [[nodiscard]] const VdpSimulator& scalar_simulator() const noexcept { return sim_; }
 
   /// The non-ideality pipeline driving this engine's operating points
   /// (shared with the scalar simulator, so parity holds under any effects).
@@ -168,13 +184,21 @@ class BatchedVdpEngine {
   struct ThreadScratch {
     xl::photonics::VdpScratch scratch;
     std::vector<unsigned char> neg;  ///< Folded-sign row (>= k entries).
+    std::vector<double> carry;       ///< Transient carry row (>= table elems).
   };
+
+  /// The one GEMM body behind both photonic_matmul overloads; T is the
+  /// activation element type (float planned, double for the adapter).
+  template <typename T>
+  void run_gemm(const T* x, std::size_t batch, std::size_t k,
+                const PackedGemmWeights& w, double* y, numerics::Arena& workspace,
+                GemmTableCache& tables);
 
   /// Grow the pool to the current lane budget (exec::width()); returns it.
   std::vector<std::unique_ptr<ThreadScratch>>& thread_pool();
 
   VdpSimOptions opts_;
-  VdpSimulator sim_;  ///< Owns the grid + LUT; also the scalar fallback.
+  VdpSimulator sim_;  ///< Owns the grid, the LUT and the effect pipeline.
   BatchedVdpStats stats_;
   std::vector<std::unique_ptr<ThreadScratch>> thread_scratch_;
 };

@@ -1,5 +1,7 @@
 #include "core/execution_plan.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -27,7 +29,8 @@ std::size_t round64(std::size_t bytes) {
 }  // namespace
 
 ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
-                             const Shape& sample_shape, std::size_t max_batch)
+                             const Shape& sample_shape, std::size_t max_batch,
+                             std::size_t begin_layer, std::size_t end_layer)
     : engine_(engine) {
   if (sample_shape.size() < 2) {
     throw std::invalid_argument("ExecutionPlan: sample shape must have rank >= 2");
@@ -35,6 +38,13 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   if (max_batch == 0) {
     throw std::invalid_argument("ExecutionPlan: max_batch must be >= 1");
   }
+  dnn::Network& net = engine_.network();
+  end_layer_ = std::min(end_layer, net.layer_count());
+  if (begin_layer > end_layer_) {
+    throw std::invalid_argument("ExecutionPlan: begin_layer past end_layer");
+  }
+  begin_layer_ = begin_layer;
+  full_pass_ = begin_layer_ == 0 && end_layer_ == net.layer_count();
   sample_shape_ = sample_shape;
   sample_shape_[0] = 1;
   sample_numel_ = shape_numel(sample_shape_);
@@ -42,7 +52,6 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   stats_.max_batch = max_batch;
   layer_dt_us_ = engine_.engine().options().effects.thermal_stage.dt_us;
 
-  dnn::Network& net = engine_.network();
   BatchedVdpEngine& vdp = engine_.engine();
 
   Shape cur = sample_shape_;
@@ -52,8 +61,8 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   std::size_t max_scratch = 0;               ///< Peak matmul arena scratch.
   std::size_t max_k = 0;                     ///< Longest GEMM operand.
 
-  steps_.reserve(net.layer_count());
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+  steps_.reserve(end_layer_ - begin_layer_);
+  for (std::size_t i = begin_layer_; i < end_layer_; ++i) {
     dnn::Layer& layer = net.layer(i);
     Step step;
     step.layer = &layer;
@@ -119,9 +128,11 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   output_sample_shape_ = cur;
   output_numel_ = shape_numel(cur);
 
-  // Every GEMM step keeps its own persistent arm-transmission table cache;
-  // the caches coexist for the plan's lifetime, so their arena footprint is
-  // the sum over steps (not the max).
+  // Every GEMM step keeps its own arm-transmission table cache; the caches
+  // coexist for the plan's lifetime, so their arena footprint is the sum
+  // over steps (not the max). The pages are written only once a step sees
+  // a frame repeat (GemmTableCache), so traffic whose frame changes on every
+  // call never makes them resident.
   std::size_t table_bytes = 0;
   for (const Step& step : steps_) {
     if (step.kind != StepKind::kDenseGemm && step.kind != StepKind::kConvGemm) {
@@ -208,14 +219,28 @@ void ExecutionPlan::run_conv(Step& step, std::size_t rows, const float* in,
   engine_.stats_.photonic_macs += gemm_rows * out_ch * cols;
 }
 
-void ExecutionPlan::run_fallback(const Step& step, std::size_t rows,
-                                 const float* in, float* out) {
+dnn::Tensor ExecutionPlan::forward_layer(const Step& step, std::size_t rows,
+                                         const float* in) {
   shape_tmp_.assign(step.in_shape.begin(), step.in_shape.end());
   shape_tmp_[0] = rows;
   dnn::Tensor x(shape_tmp_);
   std::memcpy(x.data(), in, rows * step.in_numel * sizeof(float));
-  const dnn::Tensor o = step.layer->forward(x, false);
+  return step.layer->forward(x, false);
+}
+
+void ExecutionPlan::run_fallback(const Step& step, std::size_t rows,
+                                 const float* in, float* out) {
+  const dnn::Tensor o = forward_layer(step, rows, in);
   std::memcpy(out, o.data(), rows * step.out_numel * sizeof(float));
+}
+
+void ExecutionPlan::track_layer_error(const Step& step, std::size_t rows,
+                                      const float* in, const float* out) {
+  const dnn::Tensor reference = forward_layer(step, rows, in);
+  double& worst = engine_.stats_.max_abs_layer_error;
+  for (std::size_t j = 0; j < reference.numel(); ++j) {
+    worst = std::max(worst, static_cast<double>(std::abs(out[j] - reference[j])));
+  }
 }
 
 void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
@@ -250,13 +275,17 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
   for (Step& step : steps_) {
     switch (step.kind) {
       case StepKind::kDenseGemm:
-        run_dense(step, total, cur, next);
-        std::swap(cur, next);
-        engine_.engine().advance_effects(layer_dt_us_);
-        break;
       case StepKind::kConvGemm:
-        run_conv(step, total, cur, next);
+        if (step.kind == StepKind::kDenseGemm) {
+          run_dense(step, total, cur, next);
+        } else {
+          run_conv(step, total, cur, next);
+        }
+        if (engine_.track_layer_error()) track_layer_error(step, total, cur, next);
         std::swap(cur, next);
+        // Simulated time per accelerated layer: thermal drift evolves across
+        // the network's depth and across batches (the chip does not cool
+        // down between them); a no-op without a thermal stage.
         engine_.engine().advance_effects(layer_dt_us_);
         break;
       case StepKind::kView:
@@ -287,8 +316,10 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
   }
 
   ++stats_.executions;
-  engine_.stats_.samples_inferred += total;
-  engine_.stats_.batches_inferred += 1;
+  if (full_pass_) {
+    engine_.stats_.samples_inferred += total;
+    engine_.stats_.batches_inferred += 1;
+  }
 }
 
 }  // namespace xl::core

@@ -1,10 +1,8 @@
-// ExecutionPlan — the cached, arena-backed inference program of one engine.
+// ExecutionPlan — the compiled, arena-backed inference program of one engine,
+// and the only way PhotonicInferenceEngine executes a network.
 //
-// A PhotonicInferenceEngine walks its network generically on every
-// infer_batch() call: shape vectors, im2col patch tensors, operand Matrix
-// copies and per-layer output Tensors are all rebuilt per request. A compiled
-// ExecutionPlan hoists everything that depends only on (network, sample
-// shape, max batch) out of the hot path:
+// A plan hoists everything that depends only on (network, layer range,
+// sample shape, max batch) out of the per-request path:
 //
 //   * per accelerated layer, the weight-side GEMM operand is packed once
 //     (BatchedVdpEngine::pack_weights) — quantized detunings, sign/zero
@@ -17,20 +15,20 @@
 //     straight into the ping-pong activation buffers, anything else falls
 //     back to Layer::forward (counted in PlanStats::fallback_layers);
 //   * all intermediate storage — activations, patches, GEMM outputs, the
-//     engine's per-call scratch and each GEMM step's persistent
-//     arm-transmission table cache (GemmTableCache, revalidated by effect
-//     time stamp) — lives in one bump-pointer numerics::Arena sized at
-//     compile time.
+//     engine's per-call scratch and each GEMM step's arm-transmission table
+//     cache (GemmTableCache: persisted only for frames that repeat) — lives
+//     in one bump-pointer numerics::Arena sized at compile time.
 //
 // execute() gathers rows directly from caller-held RowViewIn views, runs the
 // steps, and scatters logits to the paired RowViewOut views: after the first
 // (warm-up) execution the steady state performs zero heap allocations.
 //
-// Bit-identity contract: for identical inputs, effect timeline and weights,
-// execute() produces exactly the bytes of the legacy infer_batch() path —
-// plans change where bytes live, never what is computed
-// (tests/test_hotpath.cpp enforces this across effect sets, batch shapes and
-// thread counts).
+// Bit-identity contract: every accelerated output element equals the scalar
+// oracle VdpSimulator::dot on the same operand rows (plus the layer bias),
+// with simulated time advanced by one thermal dt per accelerated layer —
+// plans change where bytes live and when tables are built, never what is
+// computed (tests/test_hotpath.cpp enforces this across effect sets, batch
+// shapes and thread counts).
 //
 // Thread safety: none. One plan per engine, driven by one worker at a time.
 #pragma once
@@ -57,12 +55,16 @@ struct PlanStats {
 
 class ExecutionPlan {
  public:
-  /// Compile the plan for `engine`'s network over samples of `sample_shape`
-  /// (batch dimension ignored) and micro-batches of up to `max_batch` rows.
-  /// Packs weights, precomputes gather maps, and carves all workspaces from
-  /// the plan's arena. Throws std::invalid_argument on unusable shapes.
+  /// Compile the plan for layers [begin_layer, end_layer) of `engine`'s
+  /// network (end clamped to layer_count(); default: the whole network) over
+  /// samples of `sample_shape` — the shape entering begin_layer, batch
+  /// dimension ignored — and micro-batches of up to `max_batch` rows. Packs
+  /// weights, precomputes gather maps, and carves all workspaces from the
+  /// plan's arena. Throws std::invalid_argument on unusable shapes or a
+  /// reversed range.
   ExecutionPlan(PhotonicInferenceEngine& engine, const dnn::Shape& sample_shape,
-                std::size_t max_batch);
+                std::size_t max_batch, std::size_t begin_layer = 0,
+                std::size_t end_layer = static_cast<std::size_t>(-1));
 
   ExecutionPlan(const ExecutionPlan&) = delete;
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
@@ -70,11 +72,18 @@ class ExecutionPlan {
   /// Run the compiled program over the concatenation of `inputs` (paired
   /// 1:1 with `outputs`; each pair must agree on rows). Total rows must be
   /// in [1, max_batch()] — the engine's infer_views recompiles on growth
-  /// before calling this. Advances the engine's effect timeline exactly as
-  /// the legacy path does (one thermal dt per accelerated layer) and accrues
-  /// the same engine stats.
+  /// before calling this. Advances the engine's effect timeline by one
+  /// thermal dt per accelerated layer and accrues the engine stats (samples
+  /// and batches only for a whole-network plan). With the engine's
+  /// track_layer_error on, each GEMM step also runs its layer's own
+  /// forward() on the step input and folds the difference into
+  /// max_abs_layer_error (allocates; opt-in).
   void execute(std::span<const RowViewIn> inputs,
                std::span<const RowViewOut> outputs);
+
+  /// The compiled layer range [begin_layer(), end_layer()).
+  [[nodiscard]] std::size_t begin_layer() const noexcept { return begin_layer_; }
+  [[nodiscard]] std::size_t end_layer() const noexcept { return end_layer_; }
 
   [[nodiscard]] const dnn::Shape& sample_shape() const noexcept {
     return sample_shape_;
@@ -123,6 +132,11 @@ class ExecutionPlan {
   void run_dense(Step& step, std::size_t rows, const float* in, float* out);
   void run_conv(Step& step, std::size_t rows, const float* in, float* out);
   void run_fallback(const Step& step, std::size_t rows, const float* in, float* out);
+  /// step.layer->forward over `rows` samples read from `in` (allocates).
+  [[nodiscard]] dnn::Tensor forward_layer(const Step& step, std::size_t rows,
+                                          const float* in);
+  void track_layer_error(const Step& step, std::size_t rows, const float* in,
+                         const float* out);
 
   PhotonicInferenceEngine& engine_;
   dnn::Shape sample_shape_;         ///< Batch-1 basis input shape.
@@ -130,6 +144,9 @@ class ExecutionPlan {
   std::size_t sample_numel_ = 0;
   std::size_t output_numel_ = 0;
   std::size_t max_batch_ = 0;
+  std::size_t begin_layer_ = 0;
+  std::size_t end_layer_ = 0;
+  bool full_pass_ = false;    ///< Range covers the whole network.
   double layer_dt_us_ = 0.0;  ///< Thermal dt per accelerated layer.
   std::vector<Step> steps_;
   PlanStats stats_;

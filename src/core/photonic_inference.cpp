@@ -1,23 +1,14 @@
 #include "core/photonic_inference.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/execution_plan.hpp"
-#include "dnn/conv2d.hpp"
-#include "dnn/dense.hpp"
-#include "dnn/im2col.hpp"
-#include "numerics/matrix.hpp"
 
 namespace xl::core {
 
-using dnn::Conv2d;
-using dnn::Dense;
-using dnn::LayerKind;
 using dnn::Shape;
 using dnn::Tensor;
-using numerics::Matrix;
 
 PhotonicInferenceEngine::PhotonicInferenceEngine(dnn::Network& network,
                                                  const VdpSimOptions& options)
@@ -53,187 +44,43 @@ void PhotonicInferenceEngine::set_eval_batch_size(std::size_t n) {
   eval_batch_ = n;
 }
 
-void PhotonicInferenceEngine::accumulate_layer_error(const Tensor& photonic,
-                                                     const Tensor& reference) {
-  for (std::size_t j = 0; j < photonic.numel(); ++j) {
-    stats_.max_abs_layer_error =
-        std::max(stats_.max_abs_layer_error,
-                 static_cast<double>(std::abs(photonic[j] - reference[j])));
-  }
-}
-
-Tensor PhotonicInferenceEngine::run_dense_photonic(const Tensor& input, Dense& layer) {
-  if (input.rank() != 2 || input.dim(1) != layer.in_features()) {
-    throw std::invalid_argument("PhotonicInference: dense input shape mismatch");
-  }
-  const std::size_t batch = input.dim(0);
-  const std::size_t in = layer.in_features();
-  const std::size_t out_f = layer.out_features();
-
-  Matrix x(batch, in);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t i = 0; i < in; ++i) x(b, i) = input.at2(b, i);
-  }
-  Matrix w(out_f, in);
-  for (std::size_t o = 0; o < out_f; ++o) {
-    for (std::size_t i = 0; i < in; ++i) w(o, i) = layer.weights().at2(o, i);
-  }
-
-  const Matrix y = engine_.photonic_matmul(x, w);
-  Tensor out({batch, out_f});
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_f; ++o) {
-      out.at2(b, o) = static_cast<float>(y(b, o) + layer.bias()[o]);
-    }
-  }
-  stats_.photonic_matmuls += 1;
-  stats_.photonic_dot_products += batch * out_f;
-  stats_.photonic_macs += batch * out_f * in;
-  return out;
-}
-
-Tensor PhotonicInferenceEngine::run_conv_photonic(const Tensor& input, Conv2d& layer) {
-  const Shape out_shape = layer.output_shape(input.shape());
-  const auto& cfg = layer.config();
-
-  // Shared im2col lowering: the whole batch becomes one patch-matrix GEMM
-  // against the filter rows (Section IV-C.1, batched).
-  const Tensor patches = dnn::im2col(input, cfg);
-  const std::size_t rows = patches.dim(0);
-  const std::size_t patch_len = patches.dim(1);
-
-  Matrix x(rows, patch_len);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* src = patches.data() + r * patch_len;
-    for (std::size_t i = 0; i < patch_len; ++i) x(r, i) = src[i];
-  }
-  Matrix w(cfg.out_channels, patch_len);
-  for (std::size_t co = 0; co < cfg.out_channels; ++co) {
-    const float* src = layer.weights().data() + co * patch_len;
-    for (std::size_t i = 0; i < patch_len; ++i) w(co, i) = src[i];
-  }
-
-  const Matrix y = engine_.photonic_matmul(x, w);
-  const std::size_t pixels = out_shape[2] * out_shape[3];
-  Tensor out(out_shape);
-  float* dst = out.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t n = r / pixels;
-    const std::size_t pixel = r % pixels;
-    for (std::size_t co = 0; co < cfg.out_channels; ++co) {
-      dst[(n * cfg.out_channels + co) * pixels + pixel] =
-          static_cast<float>(y(r, co) + layer.bias()[co]);
-    }
-  }
-  stats_.photonic_matmuls += 1;
-  stats_.photonic_dot_products += rows * cfg.out_channels;
-  stats_.photonic_macs += rows * cfg.out_channels * patch_len;
-  return out;
-}
-
 Tensor PhotonicInferenceEngine::infer_batch(const Tensor& batch) {
-  if (plan_enabled_ && !track_layer_error_) {
-    if (batch.rank() < 2 || batch.dim(0) == 0) {
-      throw std::invalid_argument(
-          "PhotonicInference: batch must have rank >= 2 and N >= 1");
-    }
-    const std::size_t rows = batch.dim(0);
-    // Recompile when the sample shape changed or the batch outgrew the plan;
-    // steady-state traffic with a stable shape reuses the cached plan.
-    const auto sample_matches = [&]() {
-      if (plan_ == nullptr) return false;
-      const Shape& planned = plan_->sample_shape();
-      if (planned.size() != batch.rank()) return false;
-      for (std::size_t d = 1; d < planned.size(); ++d) {
-        if (planned[d] != batch.dim(d)) return false;
-      }
-      return true;
-    };
-    if (!sample_matches()) {
-      prepare_plan(batch.shape(), rows);
-    } else if (rows > plan_->max_batch()) {
-      const Shape shape = plan_->sample_shape();
-      prepare_plan(shape, rows);
-    }
-    Shape out_shape = plan_->output_sample_shape();
-    out_shape[0] = rows;
-    Tensor out(out_shape);
-    const RowViewIn in{batch.data(), rows};
-    const RowViewOut ov{out.data(), rows};
-    plan_->execute({&in, 1}, {&ov, 1});
-    return out;
-  }
-  return infer_range(batch, 0, network_.layer_count());
+  return infer_range(plan_, batch, 0, network_.layer_count());
 }
 
-std::size_t PhotonicInferenceEngine::accelerated_layers_before(
-    std::size_t end_layer) const {
-  const std::size_t end = std::min(end_layer, network_.layer_count());
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < end; ++i) {
-    const LayerKind kind = network_.layer(i).kind_id();
-    if (kind == LayerKind::kDense || kind == LayerKind::kConv) ++count;
-  }
-  return count;
-}
-
-Tensor PhotonicInferenceEngine::infer_range(const Tensor& batch,
+Tensor PhotonicInferenceEngine::infer_range(std::unique_ptr<ExecutionPlan>& plan,
+                                            const Tensor& batch,
                                             std::size_t begin_layer,
                                             std::size_t end_layer) {
   if (batch.rank() < 2 || batch.dim(0) == 0) {
     throw std::invalid_argument("PhotonicInference: batch must have rank >= 2 and N >= 1");
   }
-  const std::size_t end = std::min(end_layer, network_.layer_count());
-  if (begin_layer > end) {
-    throw std::invalid_argument("PhotonicInference: begin_layer past end_layer");
-  }
-  // Simulated time per accelerated layer: thermal drift evolves across the
-  // network's depth (and across batches — the chip does not cool down
-  // between them). advance_effects is a no-op without a thermal stage.
-  const double layer_dt_us = engine_.options().effects.thermal_stage.dt_us;
-  Tensor x = batch;
-  for (std::size_t i = begin_layer; i < end; ++i) {
-    dnn::Layer& layer = network_.layer(i);
-    bool accelerated = false;
-    switch (layer.kind_id()) {
-      case LayerKind::kDense: {
-        auto& dense = static_cast<Dense&>(layer);
-        if (track_layer_error_) {
-          const Tensor reference = dense.forward(x, false);
-          x = run_dense_photonic(x, dense);
-          accumulate_layer_error(x, reference);
-        } else {
-          x = run_dense_photonic(x, dense);
-        }
-        accelerated = true;
-        break;
-      }
-      case LayerKind::kConv: {
-        auto& conv = static_cast<Conv2d&>(layer);
-        if (track_layer_error_) {
-          const Tensor reference = conv.forward(x, false);
-          x = run_conv_photonic(x, conv);
-          accumulate_layer_error(x, reference);
-        } else {
-          x = run_conv_photonic(x, conv);
-        }
-        accelerated = true;
-        break;
-      }
-      case LayerKind::kPool:
-      case LayerKind::kActivation:
-      case LayerKind::kOther:
-        // Electronic-domain layer (pooling, activation, flatten, dropout).
-        x = layer.forward(x, false);
-        break;
+  const std::size_t rows = batch.dim(0);
+  // Steady-state traffic with a stable shape and range reuses the plan.
+  const auto fits = [&]() {
+    if (plan == nullptr || plan->begin_layer() != begin_layer ||
+        plan->end_layer() != std::min(end_layer, network_.layer_count()) ||
+        rows > plan->max_batch()) {
+      return false;
     }
-    if (accelerated) engine_.advance_effects(layer_dt_us);
+    const Shape& planned = plan->sample_shape();
+    if (planned.size() != batch.rank()) return false;
+    for (std::size_t d = 1; d < planned.size(); ++d) {
+      if (planned[d] != batch.dim(d)) return false;
+    }
+    return true;
+  };
+  if (!fits()) {
+    plan = std::make_unique<ExecutionPlan>(*this, batch.shape(), rows, begin_layer,
+                                           end_layer);
   }
-  if (begin_layer == 0 && end == network_.layer_count()) {
-    stats_.samples_inferred += batch.dim(0);
-    stats_.batches_inferred += 1;
-  }
-  return x;
+  Shape out_shape = plan->output_sample_shape();
+  out_shape[0] = rows;
+  Tensor out(out_shape);
+  const RowViewIn in{batch.data(), rows};
+  const RowViewOut ov{out.data(), rows};
+  plan->execute({&in, 1}, {&ov, 1});
+  return out;
 }
 
 double PhotonicInferenceEngine::evaluate_accuracy(const dnn::Dataset& data,

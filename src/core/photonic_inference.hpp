@@ -4,14 +4,15 @@
 // batched photonic GEMMs on BatchedVdpEngine (quantizers, Lorentzian MR
 // transmissions, inter-channel crosstalk, balanced photodetection) while
 // pooling/activations run electronically — the hardware/software split of
-// Fig. 3. CONV layers go through the shared dnn::im2col lowering, so a whole
-// batch of images becomes one patch-matrix GEMM; FC layers map directly.
-// Layer routing uses the LayerKind taxonomy instead of dynamic_cast chains.
+// Fig. 3. Every call runs through a compiled ExecutionPlan
+// (core/execution_plan.hpp): CONV layers become one im2col patch-matrix GEMM
+// per batch, FC layers map directly, and layer routing uses the LayerKind
+// taxonomy.
 //
-// infer_batch() accepts any batch size (the legacy single-sample infer()
-// wrapper is gone; pass a batch of one). The exact software reference pass
-// per layer (for max_abs_layer_error) is opt-in via set_track_layer_error —
-// accuracy sweeps no longer pay the 2x reference compute.
+// infer_batch() accepts any batch size (pass a batch of one for a single
+// sample). The exact software reference pass per layer (for
+// max_abs_layer_error) is opt-in via set_track_layer_error — accuracy sweeps
+// do not pay the 2x reference compute.
 //
 // When the engine's effect pipeline has a thermal stage, simulated time
 // advances by one thermal dt per accelerated layer, so drift evolves across
@@ -28,11 +29,6 @@
 #include "core/vdp_simulator.hpp"
 #include "dnn/datasets.hpp"
 #include "dnn/network.hpp"
-
-namespace xl::dnn {
-class Dense;
-class Conv2d;
-}  // namespace xl::dnn
 
 namespace xl::core {
 
@@ -89,25 +85,24 @@ class PhotonicInferenceEngine {
   PhotonicInferenceEngine(dnn::Network& network, const VdpSimOptions& options = {});
   ~PhotonicInferenceEngine();
 
-  /// Photonic logits for a whole batch (batch dimension N >= 1). Every
-  /// accelerated layer issues one photonic GEMM over the batch. When planned
-  /// execution is enabled (set_plan_enabled) and no per-layer error tracking
-  /// is on, the batch routes through the cached ExecutionPlan — bit-identical
-  /// output, zero steady-state heap allocation inside the engine.
+  /// Photonic logits for a whole batch (batch dimension N >= 1): one
+  /// photonic GEMM per accelerated layer over the batch, through the cached
+  /// ExecutionPlan — compiled on first use and recompiled when the sample
+  /// shape changes or the batch outgrows it. Zero steady-state heap
+  /// allocation inside the engine.
+  ///
+  /// The plan packs every accelerated layer's weights when it compiles:
+  /// after mutating a layer's weights (or the topology), call
+  /// invalidate_plan() — otherwise the next call still computes with the
+  /// packed copy of the old weights.
   [[nodiscard]] dnn::Tensor infer_batch(const dnn::Tensor& batch);
-
-  /// Enable routing of infer_batch / infer_views through a cached
-  /// ExecutionPlan (off by default; serving turns it on per shard engine).
-  /// Mutating the network's weights afterwards requires invalidate_plan().
-  void set_plan_enabled(bool enabled) noexcept { plan_enabled_ = enabled; }
-  [[nodiscard]] bool plan_enabled() const noexcept { return plan_enabled_; }
 
   /// Compile (or recompile) the plan for (sample_shape, max_batch) and
   /// return it. sample_shape's batch dimension is ignored (treated as 1).
   ExecutionPlan& prepare_plan(const dnn::Shape& sample_shape, std::size_t max_batch);
 
   /// Drop the cached plan (required after mutating layer weights/topology;
-  /// the next planned call recompiles).
+  /// the next call recompiles).
   void invalidate_plan() noexcept;
 
   /// The cached plan, or nullptr when none is compiled.
@@ -117,35 +112,31 @@ class PhotonicInferenceEngine {
   /// `inputs` and logits scattered to the paired `outputs` with no
   /// intermediate tensors. Requires a compiled plan (prepare_plan); the plan
   /// recompiles automatically when the total row count exceeds its max
-  /// batch. Effects advance exactly as infer_batch does; bit-identical
-  /// logits to the legacy path.
+  /// batch. Same logits and effect timeline as infer_batch.
   void infer_views(std::span<const RowViewIn> inputs,
                    std::span<const RowViewOut> outputs);
 
   /// Run only the layer range [begin, end) of the network on `batch`
-  /// (end is clamped to layer_count()). The fleet's model-parallel path
-  /// splits one forward pass into trunk / boundary-tile / tail segments:
-  /// because every accelerated layer advances simulated time identically
-  /// whichever engine executes it, stitching ranges back together is
-  /// bit-identical to one infer_batch() call — provided the caller lines
-  /// the engines up on the same effect timeline first (reset_effects +
-  /// one advance per accelerated layer already executed). Sample/batch
-  /// counters accrue only on full passes (begin == 0 && end >= count).
-  [[nodiscard]] dnn::Tensor infer_range(const dnn::Tensor& batch,
+  /// (end is clamped to layer_count()) through the caller-held plan slot
+  /// `plan`, compiled or recompiled as infer_batch's (and when its range
+  /// differs). The fleet's model-parallel path splits one forward pass into
+  /// trunk / boundary-tile / tail segments: because every accelerated layer
+  /// advances simulated time identically whichever engine executes it,
+  /// stitching ranges back together is bit-identical to one infer_batch()
+  /// call — provided the caller lines the engines up on the same effect
+  /// timeline first (reset_effects + one advance per accelerated layer
+  /// already executed). Sample/batch counters accrue only on full passes.
+  [[nodiscard]] dnn::Tensor infer_range(std::unique_ptr<ExecutionPlan>& plan,
+                                        const dnn::Tensor& batch,
                                         std::size_t begin_layer,
                                         std::size_t end_layer);
-
-  /// Number of accelerated (kConv/kDense) layers in [0, end_layer) — the
-  /// count of thermal dt steps a range execution advances. Used by
-  /// model-parallel peers to fast-forward their effect timeline to the
-  /// partition boundary.
-  [[nodiscard]] std::size_t accelerated_layers_before(std::size_t end_layer) const;
 
   /// Classification accuracy over a dataset subset [0, count), evaluated in
   /// batches of eval_batch_size().
   [[nodiscard]] double evaluate_accuracy(const dnn::Dataset& data, std::size_t count);
 
-  /// Enable/disable the exact per-layer software reference pass feeding
+  /// Enable/disable the exact per-layer software reference pass (each
+  /// accelerated layer's own forward() on the same input) feeding
   /// stats().max_abs_layer_error. Off by default.
   void set_track_layer_error(bool enabled) noexcept { track_layer_error_ = enabled; }
   [[nodiscard]] bool track_layer_error() const noexcept { return track_layer_error_; }
@@ -166,20 +157,14 @@ class PhotonicInferenceEngine {
   [[nodiscard]] dnn::Network& network() noexcept { return network_; }
 
  private:
-  friend class ExecutionPlan;  ///< Plans accrue the same stats counters.
-  [[nodiscard]] dnn::Tensor run_dense_photonic(const dnn::Tensor& input,
-                                               dnn::Dense& layer);
-  [[nodiscard]] dnn::Tensor run_conv_photonic(const dnn::Tensor& input,
-                                              dnn::Conv2d& layer);
-  void accumulate_layer_error(const dnn::Tensor& photonic, const dnn::Tensor& reference);
+  friend class ExecutionPlan;  ///< Plans accrue the engine's stats counters.
 
   dnn::Network& network_;
   BatchedVdpEngine engine_;
   PhotonicInferenceStats stats_;
   bool track_layer_error_ = false;
   std::size_t eval_batch_ = 16;
-  bool plan_enabled_ = false;
-  std::unique_ptr<ExecutionPlan> plan_;  ///< Cached compiled plan (or null).
+  std::unique_ptr<ExecutionPlan> plan_;  ///< Cached whole-network plan (or null).
 };
 
 }  // namespace xl::core

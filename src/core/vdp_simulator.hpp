@@ -1,18 +1,21 @@
-// Functional (signal-level) simulation of one VDP arm — legacy scalar path.
+// Functional (signal-level) simulation of one VDP arm — the scalar oracle.
 //
 // Where the performance/power models answer "how fast / how much energy",
 // this simulator answers "what value does the analog datapath actually
-// compute": activations and weights pass through quantizers, Lorentzian MR
-// transmissions, inter-channel crosstalk, and balanced photodetection.
+// compute", one dot product at a time: activations and weights pass through
+// quantizers, Lorentzian MR transmissions, inter-channel crosstalk, and
+// balanced photodetection.
 //
-// Since the batched-engine refactor, all Lorentzian constants, the
-// weight->detuning imprint inversion, and the Eq. 8 crosstalk row sums are
-// precomputed once at construction in a shared photonics::MrBankTransferLut;
-// dot() only normalizes its operands (a per-call property of the data, as in
-// the DAC scaling hardware) and drives the shared chunk kernel. The batched
-// GEMM path (core/batched_vdp_engine.hpp) runs the *same* kernel, so scalar
-// and batched results are bit-identical. Prefer BatchedVdpEngine for whole
-// layers; this class remains the per-dot-product reference.
+// All Lorentzian constants, the weight->detuning imprint inversion, and the
+// Eq. 8 crosstalk row sums are precomputed once at construction in a
+// photonics::MrBankTransferLut; dot() only normalizes its operands (a
+// per-call property of the data, as in the DAC scaling hardware) and drives
+// the LUT's direct chunk kernel (vdp_dot/arm_sum). The batched GEMM engine
+// (core/batched_vdp_engine.hpp) evaluates the same expressions through
+// precomputed transmission tables and must reproduce dot() bit for bit:
+// this class is the reference every planned-inference parity test compares
+// against. Use BatchedVdpEngine (or PhotonicInferenceEngine) for whole
+// layers.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,17 @@
 #include "fleet/model_parallel.hpp"
 
 #include <stdexcept>
+#include <vector>
 
+#include "core/execution_plan.hpp"
 #include "dnn/dense.hpp"
-#include "numerics/matrix.hpp"
+#include "numerics/arena.hpp"
 #include "serve/serve_types.hpp"
 
 namespace xl::fleet {
 
 using dnn::LayerKind;
 using dnn::Tensor;
-using numerics::Matrix;
 
 std::pair<std::size_t, std::size_t> HaloPlan::tile_range(
     std::uint32_t tile, std::uint32_t tiles) const {
@@ -62,11 +63,13 @@ ModelParallelWorker::ModelParallelWorker(const serve::ServedModel& model,
   plan_ = make_halo_plan(network_);
 }
 
+ModelParallelWorker::~ModelParallelWorker() = default;
+
 Tensor ModelParallelWorker::run_trunk(const Tensor& input) {
   // Boot-state reset: every request sees the canonical effect timeline, the
   // same contract AcceleratorShard::execute applies per micro-batch.
   engine_->engine().reset_effects();
-  return engine_->infer_range(input, 0, plan_.boundary_layer);
+  return engine_->infer_range(trunk_plan_, input, 0, plan_.boundary_layer);
 }
 
 Tensor ModelParallelWorker::run_tile(const Tensor& boundary,
@@ -78,14 +81,15 @@ Tensor ModelParallelWorker::run_tile(const Tensor& boundary,
   if (col_begin >= col_end || col_end > plan_.out_features) {
     throw std::invalid_argument("model_parallel: tile columns out of range");
   }
+  core::BatchedVdpEngine& vdp = engine_->engine();
   if (fast_forward) {
     // Land on the owner's simulated instant: boot state plus one thermal dt
     // per accelerated trunk layer, stepped one layer at a time (the thermal
     // stage integrates per step, so n steps of dt != one step of n*dt).
-    engine_->engine().reset_effects();
-    const double dt = engine_->engine().options().effects.thermal_stage.dt_us;
+    vdp.reset_effects();
+    const double dt = vdp.options().effects.thermal_stage.dt_us;
     for (std::size_t i = 0; i < plan_.accelerated_trunk_layers; ++i) {
-      engine_->engine().advance_effects(dt);
+      vdp.advance_effects(dt);
     }
   }
   auto& dense = static_cast<dnn::Dense&>(network_.layer(plan_.boundary_layer));
@@ -93,31 +97,32 @@ Tensor ModelParallelWorker::run_tile(const Tensor& boundary,
   const std::size_t in = plan_.in_features;
   const std::size_t width = col_end - col_begin;
 
-  Matrix x(batch, in);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t i = 0; i < in; ++i) x(b, i) = boundary.at2(b, i);
+  // The weight-row slice, packed once per column range: photonic_matmul
+  // treats every output row of W independently (normalization, drift,
+  // keyed noise), so these rows get exactly the bits the full boundary GEMM
+  // would compute for them.
+  if (tile_cols_ != std::pair{col_begin, col_end}) {
+    tile_weights_ =
+        vdp.pack_weights(dense.weights().data() + col_begin * in, width, in);
+    tile_cols_ = {col_begin, col_end};
   }
-  // The weight-row slice: photonic_matmul treats every output row of W
-  // independently (normalization, drift, keyed noise), so these rows get
-  // exactly the bits the full boundary GEMM would compute for them.
-  Matrix w(width, in);
-  for (std::size_t r = 0; r < width; ++r) {
-    for (std::size_t i = 0; i < in; ++i) {
-      w(r, i) = dense.weights().at2(col_begin + r, i);
-    }
-  }
-  const Matrix y = engine_->engine().photonic_matmul(x, w);
+  std::vector<double> y(batch * width);
+  numerics::Arena workspace(vdp.matmul_workspace_bytes(batch, in));
+  core::GemmTableCache tables;  // Storage-free: tile tables stay transient.
+  vdp.photonic_matmul(boundary.data(), batch, in, tile_weights_, y.data(),
+                      workspace, tables);
   Tensor out({batch, width});
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t r = 0; r < width; ++r) {
-      out.at2(b, r) = static_cast<float>(y(b, r) + dense.bias()[col_begin + r]);
+      out.at2(b, r) =
+          static_cast<float>(y[b * width + r] + dense.bias()[col_begin + r]);
     }
   }
   return out;
 }
 
 Tensor ModelParallelWorker::run_tail(const Tensor& stitched) {
-  return engine_->infer_range(stitched, plan_.boundary_layer + 1,
+  return engine_->infer_range(tail_plan_, stitched, plan_.boundary_layer + 1,
                               network_.layer_count());
 }
 

@@ -69,6 +69,7 @@ class ModelParallelWorker {
   /// Replicates the model (factory + copy_parameters) and derives its plan.
   ModelParallelWorker(const serve::ServedModel& model,
                       const core::VdpSimOptions& vdp);
+  ~ModelParallelWorker();  ///< Out of line: ExecutionPlan is incomplete here.
 
   [[nodiscard]] const HaloPlan& plan() const noexcept { return plan_; }
 
@@ -93,6 +94,10 @@ class ModelParallelWorker {
   dnn::Network network_;  ///< Private replica; the engine references it.
   std::unique_ptr<core::PhotonicInferenceEngine> engine_;
   HaloPlan plan_;
+  std::unique_ptr<core::ExecutionPlan> trunk_plan_;  ///< Layers [0, boundary).
+  std::unique_ptr<core::ExecutionPlan> tail_plan_;   ///< Layers (boundary, end).
+  core::PackedGemmWeights tile_weights_;  ///< Boundary rows [tile_cols_).
+  std::pair<std::size_t, std::size_t> tile_cols_{0, 0};
 };
 
 }  // namespace xl::fleet

@@ -51,35 +51,6 @@ double abs_max_scalar(const double* v, std::size_t n) {
   return best;
 }
 
-double arm_sum_diag_scalar(const double* a, const double* detune,
-                           const double* delta_sq, double full,
-                           std::size_t len) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double d = detune[i];
-    sum += a[i] * (1.0 - full * delta_sq[i] / (d * d + delta_sq[i]));
-  }
-  return sum;
-}
-
-double arm_sum_xtalk_scalar(const double* a, const double* detune,
-                            const double* sep, std::size_t sep_stride,
-                            const double* delta_sq, double full,
-                            std::size_t len) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    double power = a[i];
-    if (power == 0.0) continue;  // 0 * T == 0 for every finite T.
-    const double* sep_row = sep + i * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const double d = sep_row[j] + detune[j];  // lambda_i - (lambda_j - detune_j)
-      power *= 1.0 - full * delta_sq[j] / (d * d + delta_sq[j]);
-    }
-    sum += power;
-  }
-  return sum;
-}
-
 double arm_pair_diag_tbl_scalar(const double* a, const unsigned char* sel,
                                 const double* carry, const double* idle,
                                 std::size_t len) {
@@ -130,7 +101,6 @@ void hash_gaussian_n_scalar(std::uint64_t key, std::uint64_t base_counter,
 
 constexpr KernelTable kScalarTable = {
     gemm_row_panels_scalar,   abs_max_scalar,
-    arm_sum_diag_scalar,      arm_sum_xtalk_scalar,
     arm_pair_diag_tbl_scalar, arm_pair_xtalk_tbl_scalar,
     hash_gaussian_keys_scalar, hash_gaussian_n_scalar,
     "scalar",
@@ -155,6 +125,35 @@ const KernelTable& resolve() noexcept {
 }
 
 }  // namespace
+
+double arm_sum_diag(const double* a, const double* detune,
+                    const double* delta_sq, double full,
+                    std::size_t len) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const double d = detune[i];
+    sum += a[i] * (1.0 - full * delta_sq[i] / (d * d + delta_sq[i]));
+  }
+  return sum;
+}
+
+double arm_sum_xtalk(const double* a, const double* detune,
+                     const double* sep, std::size_t sep_stride,
+                     const double* delta_sq, double full,
+                     std::size_t len) noexcept {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    double power = a[i];
+    if (power == 0.0) continue;  // 0 * T == 0 for every finite T.
+    const double* sep_row = sep + i * sep_stride;
+    for (std::size_t j = 0; j < len; ++j) {
+      const double d = sep_row[j] + detune[j];  // lambda_i - (lambda_j - detune_j)
+      power *= 1.0 - full * delta_sq[j] / (d * d + delta_sq[j]);
+    }
+    sum += power;
+  }
+  return sum;
+}
 
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
 

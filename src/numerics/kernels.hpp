@@ -21,9 +21,9 @@
 //   * GEMM: each output element accumulates sequentially over k in lane j,
 //     with separate mul + add roundings (the AVX2 TU is compiled with
 //     -ffp-contract=off so mul/add never fuse into one-rounding FMA).
-//   * Lorentzian arm sums: lane = channel; the per-ring transmission product
-//     runs sequentially within the lane, and cross-lane sums into the
-//     accumulator happen in scalar index order after extraction.
+//   * Table-driven arm sums: lane = channel; the per-ring transmission
+//     product runs sequentially within the lane, and cross-lane sums into
+//     the accumulator happen in scalar index order after extraction.
 //   * hash_gaussian_n: integer mixing, the uint64->double conversion, and all
 //     elementwise arithmetic vectorize exactly (conversion and sqrt are
 //     correctly-rounded by IEEE); log/cos go through the scalar libm calls so
@@ -55,21 +55,6 @@ struct KernelTable {
 
   /// max_i |v[i]| (0 for n == 0). Exact for non-NaN input in any lane order.
   double (*abs_max)(const double* v, std::size_t n);
-
-  /// Lorentzian arm sum, on-channel ring only (no parasitic crosstalk):
-  ///   sum_i a[i] * (1 - full * delta_sq[i] / (detune[i]^2 + delta_sq[i]))
-  /// accumulated in index order.
-  double (*arm_sum_diag)(const double* a, const double* detune,
-                         const double* delta_sq, double full, std::size_t len);
-
-  /// Lorentzian arm sum with crosstalk: every ring j attenuates channel i,
-  ///   power_i = a[i] * prod_j (1 - (full*delta_sq[j]) / (d_ij^2 + delta_sq[j]))
-  /// with d_ij = sep[i*sep_stride + j] + detune[j]; channels with a[i] == 0
-  /// are skipped (0 * T == 0), and the per-ring product runs sequentially
-  /// over j within channel i's lane. Summed over i in index order.
-  double (*arm_sum_xtalk)(const double* a, const double* detune,
-                          const double* sep, std::size_t sep_stride,
-                          const double* delta_sq, double full, std::size_t len);
 
   /// Fused balanced-PD arm sums over precomputed ring transmissions, no
   /// crosstalk. `carry[i]`/`idle[i]` hold ring i's transmission when it
@@ -111,6 +96,28 @@ struct KernelTable {
 
   const char* name;  ///< "scalar" or "avx2".
 };
+
+/// Direct Lorentzian arm sums — scalar only, the operand-level reference the
+/// table-driven pair kernels above must reproduce. Reached through
+/// photonics::MrBankTransferLut::arm_sum, i.e. only by the VdpSimulator::dot
+/// oracle.
+///
+/// On-channel ring only (no parasitic crosstalk):
+///   sum_i a[i] * (1 - full * delta_sq[i] / (detune[i]^2 + delta_sq[i]))
+/// accumulated in index order.
+[[nodiscard]] double arm_sum_diag(const double* a, const double* detune,
+                                  const double* delta_sq, double full,
+                                  std::size_t len) noexcept;
+
+/// With crosstalk: every ring j attenuates channel i,
+///   power_i = a[i] * prod_j (1 - (full*delta_sq[j]) / (d_ij^2 + delta_sq[j]))
+/// with d_ij = sep[i*sep_stride + j] + detune[j]; channels with a[i] == 0
+/// are skipped (0 * T == 0), and the per-ring product runs sequentially
+/// over j. Summed over i in index order.
+[[nodiscard]] double arm_sum_xtalk(const double* a, const double* detune,
+                                   const double* sep, std::size_t sep_stride,
+                                   const double* delta_sq, double full,
+                                   std::size_t len) noexcept;
 
 /// The portable reference table (always available, never dispatched away).
 [[nodiscard]] const KernelTable& scalar_table() noexcept;

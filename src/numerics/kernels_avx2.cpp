@@ -106,82 +106,6 @@ double abs_max_avx2(const double* v, std::size_t n) {
 
 void store4(double* buf, __m256d v) { _mm256_storeu_pd(buf, v); }
 
-double arm_sum_diag_avx2(const double* a, const double* detune,
-                         const double* delta_sq, double full,
-                         std::size_t len) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d fullv = _mm256_set1_pd(full);
-  double sum = 0.0;
-  double buf[4];
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256d d = _mm256_loadu_pd(detune + i);
-    const __m256d dsq = _mm256_loadu_pd(delta_sq + i);
-    // Lane i: a[i] * (1 - full*dsq[i] / (d*d + dsq[i])) — the exact scalar
-    // expression tree, one lane per channel.
-    const __m256d den = _mm256_add_pd(_mm256_mul_pd(d, d), dsq);
-    const __m256d q = _mm256_div_pd(_mm256_mul_pd(fullv, dsq), den);
-    const __m256d pr = _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_sub_pd(one, q));
-    store4(buf, pr);
-    sum += buf[0];
-    sum += buf[1];
-    sum += buf[2];
-    sum += buf[3];
-  }
-  for (; i < len; ++i) {
-    const double d = detune[i];
-    sum += a[i] * (1.0 - full * delta_sq[i] / (d * d + delta_sq[i]));
-  }
-  return sum;
-}
-
-double arm_sum_xtalk_avx2(const double* a, const double* detune,
-                          const double* sep, std::size_t sep_stride,
-                          const double* delta_sq, double full,
-                          std::size_t len) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  double sum = 0.0;
-  double buf[4];
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= len; i0 += 4) {
-    // Lanes = 4 channels; each lane's per-ring transmission product runs
-    // sequentially over j, exactly as the scalar channel loop.
-    __m256d power = _mm256_loadu_pd(a + i0);
-    const double* r0 = sep + (i0 + 0) * sep_stride;
-    const double* r1 = sep + (i0 + 1) * sep_stride;
-    const double* r2 = sep + (i0 + 2) * sep_stride;
-    const double* r3 = sep + (i0 + 3) * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const __m256d sepv = _mm256_set_pd(r3[j], r2[j], r1[j], r0[j]);
-      const __m256d d = _mm256_add_pd(sepv, _mm256_broadcast_sd(detune + j));
-      // full * delta_sq[j] is lane-uniform: one scalar mul, same rounding as
-      // every scalar (i, j) evaluation of the same subexpression.
-      const __m256d num = _mm256_set1_pd(full * delta_sq[j]);
-      const __m256d den =
-          _mm256_add_pd(_mm256_mul_pd(d, d), _mm256_broadcast_sd(delta_sq + j));
-      power = _mm256_mul_pd(power,
-                            _mm256_sub_pd(one, _mm256_div_pd(num, den)));
-    }
-    store4(buf, power);
-    // Scalar index order, honoring the a[i] == 0 skip (the lane computed a
-    // harmless all-zero product; transmissions are finite so 0 * T == 0).
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      if (a[i0 + lane] != 0.0) sum += buf[lane];
-    }
-  }
-  for (; i0 < len; ++i0) {
-    double power = a[i0];
-    if (power == 0.0) continue;
-    const double* sep_row = sep + i0 * sep_stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      const double d = sep_row[j] + detune[j];
-      power *= 1.0 - full * delta_sq[j] / (d * d + delta_sq[j]);
-    }
-    sum += power;
-  }
-  return sum;
-}
-
 double arm_pair_diag_tbl_avx2(const double* a, const unsigned char* sel,
                               const double* carry, const double* idle,
                               std::size_t len) {
@@ -367,7 +291,6 @@ void hash_gaussian_n_avx2(std::uint64_t key, std::uint64_t base_counter,
 
 constexpr KernelTable kAvx2Table = {
     gemm_row_panels_avx2,   abs_max_avx2,
-    arm_sum_diag_avx2,      arm_sum_xtalk_avx2,
     arm_pair_diag_tbl_avx2, arm_pair_xtalk_tbl_avx2,
     hash_gaussian_keys_avx2, hash_gaussian_n_avx2,
     "avx2",

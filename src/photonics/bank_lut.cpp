@@ -76,20 +76,12 @@ double MrBankTransferLut::detune_for_code(std::size_t ring, std::uint32_t code) 
 double MrBankTransferLut::arm_sum(std::span<const double> a,
                                   std::span<const double> detune,
                                   bool crosstalk) const noexcept {
-  const auto& kt = numerics::kernels::active_table();
   if (crosstalk) {
-    return kt.arm_sum_xtalk(a.data(), detune.data(), sep_.data(), n_,
-                            delta_sq_.data(), full_, a.size());
+    return numerics::kernels::arm_sum_xtalk(a.data(), detune.data(), sep_.data(),
+                                            n_, delta_sq_.data(), full_, a.size());
   }
-  return kt.arm_sum_diag(a.data(), detune.data(), delta_sq_.data(), full_,
-                         a.size());
-}
-
-double MrBankTransferLut::vdp_dot(std::span<const double> a_mag,
-                                  std::span<const double> detune,
-                                  std::span<const unsigned char> neg,
-                                  bool crosstalk, VdpScratch& scratch) const {
-  return vdp_dot(a_mag, detune, neg, crosstalk, scratch, nullptr);
+  return numerics::kernels::arm_sum_diag(a.data(), detune.data(),
+                                         delta_sq_.data(), full_, a.size());
 }
 
 const double* MrBankTransferLut::drift_ptr(const VdpEffects* effects) const {

@@ -13,9 +13,10 @@
 //   * a per-DAC-code weight->detuning-ratio LUT (the imprint inverse problem
 //     solved once per representable weight instead of once per element), and
 //   * Eq. (8) crosstalk row sums phi_i = sum_{j != i} phi(i, j).
-// Both the legacy scalar VdpSimulator and the BatchedVdpEngine run their
-// inner loops through vdp_dot()/arm_sum() here, so the two paths are
-// bit-identical by construction.
+// The scalar VdpSimulator (the bit-exact oracle) runs vdp_dot()/arm_sum()
+// directly; the BatchedVdpEngine runs vdp_dot_tbl() over transmission tables
+// built from the same expressions, so the two are bit-identical by
+// construction.
 #pragma once
 
 #include <cstddef>
@@ -103,21 +104,15 @@ class MrBankTransferLut {
   /// detunings, and `neg[k]` selects the negative arm of the balanced PD
   /// (sign of activation folded into the weight). Inputs are processed in
   /// bank_size() chunks with per-chunk partial-sum requantization, exactly
-  /// mirroring the hardware's VCSEL accumulation path.
-  [[nodiscard]] double vdp_dot(std::span<const double> a_mag,
-                               std::span<const double> detune,
-                               std::span<const unsigned char> neg,
-                               bool crosstalk, VdpScratch& scratch) const;
-
-  /// vdp_dot under non-idealities: per-ring resonance drifts shift the
-  /// operating point of every chunk and photodetector noise perturbs each
-  /// balanced-PD partial sum before requantization. `effects == nullptr` or
-  /// an inactive view is bit-identical to the plain overload.
+  /// mirroring the hardware's VCSEL accumulation path. Under `effects`,
+  /// per-ring resonance drifts shift the operating point of every chunk and
+  /// photodetector noise perturbs each balanced-PD partial sum before
+  /// requantization (nullptr or an inactive view: the ideal datapath).
   [[nodiscard]] double vdp_dot(std::span<const double> a_mag,
                                std::span<const double> detune,
                                std::span<const unsigned char> neg,
                                bool crosstalk, VdpScratch& scratch,
-                               const VdpEffects* effects) const;
+                               const VdpEffects* effects = nullptr) const;
 
   /// Doubles one arm-transmission table occupies for a `total`-element
   /// operand: per bank_size() chunk, len^2 with crosstalk (every ring j
@@ -147,7 +142,7 @@ class MrBankTransferLut {
   /// weight — the positive arm reads carry where neg is 0 and idle where it
   /// is 1, the negative arm the opposite. Drift is already baked into the
   /// tables; `effects` supplies only the PD-noise model (keyed on the same
-  /// operand spans). Bit-identical to the effects overload of vdp_dot.
+  /// operand spans). Bit-identical to vdp_dot.
   [[nodiscard]] double vdp_dot_tbl(std::span<const double> a_mag,
                                    std::span<const double> detune,
                                    std::span<const unsigned char> neg,

@@ -109,20 +109,35 @@ class Parser {
   double number() {
     skip_ws();
     if (pos_ >= text_.size()) fail("expected a number");
-    const std::string rest(text_.substr(pos_));
+    // Copy only the characters a literal can span — alphanumerics, '.', and
+    // a sign right after an exponent marker — so each literal costs its own
+    // length and a flat sum of n literals parses in O(n). strtod/strtoull
+    // still decide where the literal ends.
+    std::size_t stop = pos_;
+    while (stop < text_.size()) {
+      const char c = text_[stop];
+      const bool exponent_sign = (c == '+' || c == '-') && stop > pos_ &&
+                                 (text_[stop - 1] == 'e' || text_[stop - 1] == 'E');
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' && !exponent_sign) {
+        break;
+      }
+      ++stop;
+    }
+    const std::string literal(text_.substr(pos_, stop - pos_));
     char* end = nullptr;
     double value = 0.0;
-    if (rest.size() > 2 && rest[0] == '0' && (rest[1] == 'x' || rest[1] == 'X')) {
+    if (literal.size() > 2 && literal[0] == '0' &&
+        (literal[1] == 'x' || literal[1] == 'X')) {
       // Hex literals (scenario seeds) go through strtoull so 64-bit seeds
       // round-trip; the double conversion is exact up to 2^53, far beyond
       // any knob that is not a seed (seeds are re-read as integers by the
       // document layer).
-      value = static_cast<double>(std::strtoull(rest.c_str(), &end, 16));
+      value = static_cast<double>(std::strtoull(literal.c_str(), &end, 16));
     } else {
-      value = std::strtod(rest.c_str(), &end);
+      value = std::strtod(literal.c_str(), &end);
     }
-    if (end == rest.c_str()) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - rest.c_str());
+    if (end == literal.c_str()) fail("expected a number");
+    pos_ += static_cast<std::size_t>(end - literal.c_str());
     return value;
   }
 

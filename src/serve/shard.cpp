@@ -30,7 +30,6 @@ AcceleratorShard::AcceleratorShard(std::size_t id, const ModelRepository& models
         shard_model->network, vdp);
     // Compile the plan eagerly (weight packing, im2col index maps, arena
     // sizing) so no worker thread ever pays the compilation cost.
-    shard_model->engine->set_plan_enabled(true);
     shard_model->engine->prepare_plan(models.find(name).input_shape,
                                       options_.max_batch);
     if (options_.pace_hardware_time) {

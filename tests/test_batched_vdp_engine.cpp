@@ -1,12 +1,15 @@
 // Batched photonic execution engine tests: per-element parity with the
-// scalar VdpSimulator path, determinism across executor widths, and work
-// accounting.
+// scalar VdpSimulator::dot oracle (Matrix adapter and planned overload,
+// through every GemmTableCache state), determinism across executor widths,
+// and work accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "core/batched_vdp_engine.hpp"
+#include "core/effect_pipeline.hpp"
+#include "core/effects.hpp"
 #include "core/vdp_simulator.hpp"
 #include "exec/task_pool.hpp"
 #include "numerics/gemm.hpp"
@@ -68,6 +71,63 @@ TEST(BatchedVdpEngine, ParityHoldsWithoutCrosstalkAndAtLowResolution) {
   core::VdpSimOptions small_bank;
   small_bank.mrs_per_bank = 4;
   expect_matches_scalar_loop(small_bank, x, w);
+}
+
+TEST(BatchedVdpEngine, PlannedMatmulMatchesOracleThroughCacheStates) {
+  // Float operands through pack_weights + the planned overload. Three calls
+  // on one frame walk the cache through transient, persist and hit; a
+  // fourth on a new frame goes transient again and keeps the persisted
+  // tables. Every call must equal the oracle.
+  core::VdpSimOptions opts;
+  opts.effects = core::EffectConfig::parse("all");
+  constexpr std::size_t kBatch = 5;
+  constexpr std::size_t kOut = 7;
+  constexpr std::size_t kK = 37;
+  numerics::Rng rng(17);
+  std::vector<float> x(kBatch * kK);
+  std::vector<float> w(kOut * kK);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (std::size_t i = 0; i < kK; ++i) w[2 * kK + i] = 0.0F;  // Zero row.
+
+  core::BatchedVdpEngine engine(opts);
+  core::VdpSimulator sim(opts);
+  const core::PackedGemmWeights packed = engine.pack_weights(w.data(), kOut, kK);
+  const std::size_t te = engine.gemm_table_elems(kK);
+  std::vector<double> carry(kOut * te);
+  std::vector<double> idle(te);
+  core::GemmTableCache tables;
+  tables.carry = carry;
+  tables.idle = idle;
+  numerics::Arena workspace(engine.matmul_workspace_bytes(kBatch, kK));
+  std::vector<double> y(kBatch * kOut);
+  std::vector<double> xr(kK);
+  std::vector<double> wr(kK);
+  const std::size_t expected_builds[] = {0, 1, 1, 1};
+  for (std::size_t call = 0; call < 4; ++call) {
+    if (call == 3) {
+      engine.advance_effects(1.0);
+      sim.effects().advance(1.0);
+    }
+    engine.photonic_matmul(x.data(), kBatch, kK, packed, y.data(), workspace, tables);
+    EXPECT_EQ(engine.stats().table_builds, expected_builds[call]) << "call " << call;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      xr.assign(x.begin() + b * kK, x.begin() + (b + 1) * kK);
+      for (std::size_t o = 0; o < kOut; ++o) {
+        wr.assign(w.begin() + o * kK, w.begin() + (o + 1) * kK);
+        EXPECT_EQ(y[b * kOut + o], sim.dot(xr, wr))
+            << "call " << call << " b=" << b << " o=" << o;
+      }
+    }
+  }
+  EXPECT_EQ(tables.stamp, 0.0);  // Still the frame persisted on call 2.
+
+  core::GemmTableCache wrong;
+  wrong.carry = {carry.data(), te};
+  wrong.idle = idle;
+  EXPECT_THROW(engine.photonic_matmul(x.data(), kBatch, kK, packed, y.data(),
+                                      workspace, wrong),
+               std::invalid_argument);
 }
 
 TEST(BatchedVdpEngine, HandlesZeroRowsAndZeroWeights) {

@@ -5,7 +5,8 @@
 //      golden values below were captured from the engine before the effect
 //      refactor (same seeds, same shapes).
 //   2. Effects on is deterministic: fixed seeds give identical results for
-//      scalar vs. batched execution and for any executor width.
+//      the VdpSimulator::dot oracle vs. batched and planned execution and
+//      for any executor width.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "dnn/reshape.hpp"
 #include "exec/task_pool.hpp"
 #include "numerics/rng.hpp"
+#include "photonic_oracle.hpp"
 
 namespace {
 
@@ -306,7 +308,7 @@ TEST(EffectPipeline, StageSetMatchesConfig) {
   EXPECT_TRUE(idle.crosstalk());
 }
 
-TEST(EffectPipeline, InferBatchDeterministicUnderEffects) {
+TEST(EffectPipeline, InferBatchMatchesOracleUnderEffects) {
   dnn::SyntheticSpec spec;
   spec.classes = 4;
   spec.height = 10;
@@ -324,9 +326,10 @@ TEST(EffectPipeline, InferBatchDeterministicUnderEffects) {
 
   const core::VdpSimOptions opts = all_effects_options();
   core::PhotonicInferenceEngine a(net, opts);
-  core::PhotonicInferenceEngine b(net, opts);
-  const dnn::Tensor la = a.infer_batch(dnn::batch_images(data, 0, 6));
-  const dnn::Tensor lb = b.infer_batch(dnn::batch_images(data, 0, 6));
+  oracle::PhotonicOracle reference(opts);
+  const dnn::Tensor batch = dnn::batch_images(data, 0, 6);
+  const dnn::Tensor la = a.infer_batch(batch);
+  const dnn::Tensor lb = reference.infer(net, batch);
   for (std::size_t n = 0; n < 6; ++n) {
     for (std::size_t c = 0; c < la.dim(1); ++c) {
       EXPECT_EQ(la.at2(n, c), lb.at2(n, c));

@@ -1,10 +1,11 @@
 // Hot-path tests: the ExecutionPlan bit-identity contract (planned execution
-// produces exactly the bytes of the legacy infer_batch path across effect
-// sets and batch shapes, and served logits match a direct engine run across
-// worker counts), the Arena workspace
-// semantics (alignment, mark/rewind, exhaustion regrow, reset coalescing),
-// the training-gated activation caches, and the zero-allocation steady state
-// measured through the operator-new interposer.
+// produces exactly the bytes of the VdpSimulator::dot oracle across effect
+// sets and batch shapes, and served logits match the oracle per request
+// across worker counts), the GEMM table-cache persistence rule, the Arena
+// workspace semantics (alignment, mark/rewind, exhaustion regrow, reset
+// coalescing), the training-gated activation caches, and the
+// zero-allocation steady state measured through the operator-new
+// interposer.
 //
 // The ASan+UBSan CI job runs this binary (sanitize matrix covers the arena
 // and the interposed allocator paths).
@@ -30,6 +31,7 @@
 #include "numerics/alloc_counter.hpp"
 #include "numerics/arena.hpp"
 #include "numerics/rng.hpp"
+#include "photonic_oracle.hpp"
 #include "serve/serving_runtime.hpp"
 
 namespace xl {
@@ -41,6 +43,7 @@ using core::RowViewOut;
 using core::VdpSimOptions;
 using dnn::Shape;
 using dnn::Tensor;
+using oracle::PhotonicOracle;
 
 // ---------------------------------------------------------------------------
 // Fixtures: deterministic networks covering every planned layer kind.
@@ -87,16 +90,20 @@ Tensor make_batch(const Shape& sample_shape, std::size_t rows, unsigned seed) {
   return x;
 }
 
-/// Feed identical training batches through both networks so BatchNorm
-/// running statistics are non-trivial AND identical across the pair.
-void warm_batchnorm(dnn::Network& a, dnn::Network& b, const Shape& sample_shape) {
+/// Feed training batches through `net` so BatchNorm running statistics are
+/// non-trivial.
+void warm_batchnorm(dnn::Network& net, const Shape& sample_shape) {
   for (unsigned pass = 0; pass < 3; ++pass) {
-    const Tensor x = make_batch(sample_shape, 4, 100 + pass);
-    Tensor ya = x;
-    Tensor yb = x;
-    for (std::size_t i = 0; i < a.layer_count(); ++i) ya = a.layer(i).forward(ya, true);
-    for (std::size_t i = 0; i < b.layer_count(); ++i) yb = b.layer(i).forward(yb, true);
+    Tensor y = make_batch(sample_shape, 4, 100 + pass);
+    for (std::size_t i = 0; i < net.layer_count(); ++i) y = net.layer(i).forward(y, true);
   }
+}
+
+/// The small CNN with warmed BatchNorm statistics.
+dnn::Network make_warm_cnn() {
+  dnn::Network net = make_cnn();
+  warm_batchnorm(net, kCnnSample);
+  return net;
 }
 
 void expect_bit_identical(const Tensor& a, const Tensor& b) {
@@ -114,52 +121,75 @@ VdpSimOptions vdp_with(const char* effects) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: planned infer_batch == legacy infer_batch.
+// Bit-identity: planned infer_batch == the VdpSimulator::dot oracle.
 // ---------------------------------------------------------------------------
 
-void check_plan_bit_identity(dnn::Network legacy_net, dnn::Network planned_net,
-                             const Shape& sample_shape, const char* effects) {
+void check_plan_matches_oracle(dnn::Network net, const Shape& sample_shape,
+                               const char* effects) {
   const VdpSimOptions vdp = vdp_with(effects);
-  PhotonicInferenceEngine legacy(legacy_net, vdp);
-  PhotonicInferenceEngine planned(planned_net, vdp);
-  planned.set_plan_enabled(true);
-  for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+  PhotonicInferenceEngine planned(net, vdp);
+  PhotonicOracle oracle(vdp);
+  std::size_t samples = 0;
+  // Growing batches recompile the plan; the trailing 2 reuses the 8-row one.
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                 std::size_t{2}}) {
     const Tensor x = make_batch(sample_shape, rows, 42 + static_cast<unsigned>(rows));
-    legacy.engine().reset_effects();
+    oracle.reset_effects();
     planned.engine().reset_effects();
     // Two calls without an effects reset in between: the second batch runs
     // on an advanced thermal timeline, so plan reuse (not just the first
     // compile) is held to the bit-identity contract.
     for (unsigned call = 0; call < 2; ++call) {
-      const Tensor want = legacy.infer_batch(x);
-      const Tensor got = planned.infer_batch(x);
-      expect_bit_identical(want, got);
+      expect_bit_identical(oracle.infer(net, x), planned.infer_batch(x));
+      samples += rows;
     }
   }
-  // Planned execution accrues exactly the legacy engine counters.
-  EXPECT_EQ(legacy.stats().photonic_matmuls, planned.stats().photonic_matmuls);
-  EXPECT_EQ(legacy.stats().photonic_dot_products, planned.stats().photonic_dot_products);
-  EXPECT_EQ(legacy.stats().photonic_macs, planned.stats().photonic_macs);
-  EXPECT_EQ(legacy.stats().samples_inferred, planned.stats().samples_inferred);
-  EXPECT_EQ(legacy.stats().batches_inferred, planned.stats().batches_inferred);
+  // The plan accrues exactly the work the oracle performed.
+  EXPECT_EQ(planned.stats().photonic_matmuls, oracle.matmuls);
+  EXPECT_EQ(planned.stats().photonic_dot_products, oracle.dots);
+  EXPECT_EQ(planned.stats().photonic_macs, oracle.macs);
+  EXPECT_EQ(planned.stats().samples_inferred, samples);
+  EXPECT_EQ(planned.stats().batches_inferred, 8U);
 }
 
-TEST(ExecutionPlan, MlpBitIdenticalAcrossEffectSets) {
+TEST(ExecutionPlan, MlpMatchesOracleAcrossEffectSets) {
   for (const char* effects : kEffectSets) {
     SCOPED_TRACE(effects);
-    check_plan_bit_identity(make_mlp(), make_mlp(), {1, 1, 12, 12}, effects);
+    check_plan_matches_oracle(make_mlp(), {1, 1, 12, 12}, effects);
   }
 }
 
-TEST(ExecutionPlan, CnnBitIdenticalAcrossEffectSets) {
+TEST(ExecutionPlan, CnnMatchesOracleAcrossEffectSets) {
   for (const char* effects : kEffectSets) {
     SCOPED_TRACE(effects);
-    dnn::Network legacy_net = make_cnn();
-    dnn::Network planned_net = make_cnn();
-    warm_batchnorm(legacy_net, planned_net, kCnnSample);
-    check_plan_bit_identity(std::move(legacy_net), std::move(planned_net),
-                            kCnnSample, effects);
+    check_plan_matches_oracle(make_warm_cnn(), kCnnSample, effects);
   }
+}
+
+TEST(ExecutionPlan, InvalidatePlanPicksUpMutatedWeights) {
+  // The plan packs weights at compile time; invalidate_plan() is the
+  // documented way to make a weight change visible to infer_batch.
+  dnn::Network net = make_mlp();
+  const VdpSimOptions vdp = vdp_with("all");
+  PhotonicInferenceEngine engine(net, vdp);
+  PhotonicOracle oracle(vdp);
+  const Tensor x = make_batch({1, 1, 12, 12}, 4, 23);
+  const Tensor before = engine.infer_batch(x);
+
+  dnn::Layer* last_dense = nullptr;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (net.layer(i).kind_id() == dnn::LayerKind::kDense) last_dense = &net.layer(i);
+  }
+  ASSERT_NE(last_dense, nullptr);
+  Tensor& w = static_cast<dnn::Dense&>(*last_dense).weights();
+  for (std::size_t i = 0; i < w.numel(); ++i) w[i] = -0.5F * w[i];
+  engine.invalidate_plan();
+
+  engine.engine().reset_effects();
+  oracle.reset_effects();
+  const Tensor after = engine.infer_batch(x);
+  expect_bit_identical(oracle.infer(net, x), after);
+  EXPECT_NE(0, std::memcmp(before.data(), after.data(), after.numel() * sizeof(float)));
 }
 
 TEST(ExecutionPlan, CompilesEveryLayerWithoutFallback) {
@@ -178,16 +208,14 @@ TEST(ExecutionPlan, CompilesEveryLayerWithoutFallback) {
 // ---------------------------------------------------------------------------
 
 TEST(ExecutionPlan, SplitViewsMatchCoalescedBatch) {
-  dnn::Network legacy_net = make_mlp();
-  dnn::Network planned_net = make_mlp();
+  dnn::Network net = make_mlp();
   const Shape sample = {1, 1, 12, 12};
   const VdpSimOptions vdp = vdp_with("all");
-  PhotonicInferenceEngine legacy(legacy_net, vdp);
-  PhotonicInferenceEngine planned(planned_net, vdp);
+  PhotonicInferenceEngine planned(net, vdp);
   planned.prepare_plan(sample, 8);
 
   const Tensor x = make_batch(sample, 8, 3);
-  const Tensor want = legacy.infer_batch(x);
+  const Tensor want = PhotonicOracle(vdp).infer(net, x);
   const std::size_t sample_numel = x.numel() / 8;
   const std::size_t classes = want.dim(1);
 
@@ -210,15 +238,13 @@ TEST(ExecutionPlan, SplitViewsMatchCoalescedBatch) {
 }
 
 TEST(ExecutionPlan, RecompilesWhenBatchOutgrowsPlan) {
-  dnn::Network legacy_net = make_mlp();
-  dnn::Network planned_net = make_mlp();
+  dnn::Network net = make_mlp();
   const Shape sample = {1, 1, 12, 12};
-  PhotonicInferenceEngine legacy(legacy_net);
-  PhotonicInferenceEngine planned(planned_net);
+  PhotonicInferenceEngine planned(net);
   planned.prepare_plan(sample, 2);
 
   const Tensor x = make_batch(sample, 5, 9);
-  const Tensor want = legacy.infer_batch(x);
+  const Tensor want = PhotonicOracle(VdpSimOptions{}).infer(net, x);
   std::vector<float> got(want.numel());
   const RowViewIn in{x.data(), 5};
   const RowViewOut out{got.data(), 5};
@@ -240,7 +266,6 @@ TEST(ExecutionPlan, InferViewsWithoutPlanThrows) {
 TEST(ExecutionPlan, InferBatchRecompilesOnSampleShapeChange) {
   dnn::Network net = make_mlp();
   PhotonicInferenceEngine planned(net);
-  planned.set_plan_enabled(true);
   // Flatten + Dense accept both the image shape and its pre-flattened form;
   // switching shapes must recompile instead of feeding a stale plan.
   const Tensor image = make_batch({1, 1, 12, 12}, 2, 4);
@@ -253,41 +278,79 @@ TEST(ExecutionPlan, InferBatchRecompilesOnSampleShapeChange) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-allocation steady state (engine level).
+// GEMM table cache: persisted only for repeating frames; zero-allocation
+// steady state (engine level) either way.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutionPlan, SteadyStateMakesNoHeapAllocations) {
-  dnn::Network net = make_cnn();
-  dnn::Network scratch = make_cnn();
-  warm_batchnorm(net, scratch, kCnnSample);
-  PhotonicInferenceEngine planned(net, vdp_with("all"));
+constexpr std::size_t kCnnGemmSteps = 4;  ///< 2 Conv + 2 Dense in make_cnn().
+
+/// Runs `executes` planned passes of one 8-row batch through the CNN with
+/// the full effect stack, each checked against the oracle. `reset_each`
+/// selects the serving contract (reset_effects per micro-batch: every layer
+/// sees the same frame on every call) over the evaluate_accuracy shape
+/// (time keeps advancing: a new frame on every call). Returns the
+/// persistent table builds after each execute; heap allocations after the
+/// first execute go to `allocs`.
+std::vector<std::size_t> run_table_sequence(bool reset_each, std::size_t executes,
+                                            std::size_t* allocs) {
+  dnn::Network net = make_warm_cnn();
+  const VdpSimOptions vdp = vdp_with("all");
+  PhotonicInferenceEngine planned(net, vdp);
   planned.prepare_plan(kCnnSample, 8);
+  PhotonicOracle oracle(vdp);
 
   const Tensor x = make_batch(kCnnSample, 8, 17);
-  std::vector<float> out(8 * 5);
+  std::vector<Tensor> want;
+  for (std::size_t i = 0; i < executes; ++i) {
+    if (reset_each || i == 0) oracle.reset_effects();
+    want.push_back(oracle.infer(net, x));
+  }
+  std::vector<std::vector<float>> got(executes, std::vector<float>(8 * 5));
+  std::vector<std::size_t> builds;
+  builds.reserve(executes);
   const RowViewIn in_view{x.data(), 8};
-  const RowViewOut out_view{out.data(), 8};
-
-  // Warm-up: first execution may touch lazily grown per-lane scratch.
-  planned.engine().reset_effects();
-  planned.infer_views({&in_view, 1}, {&out_view, 1});
-
   const std::size_t regrows_before = planned.plan()->arena_stats().regrows;
-  numerics::allocs::reset();
-  numerics::allocs::set_counting(true);
-  for (unsigned iter = 0; iter < 10; ++iter) {
-    planned.engine().reset_effects();
+  for (std::size_t i = 0; i < executes; ++i) {
+    if (i == 1) {  // Warm-up done: the first execution may grow lane scratch.
+      numerics::allocs::reset();
+      numerics::allocs::set_counting(true);
+    }
+    if (reset_each || i == 0) planned.engine().reset_effects();
+    const RowViewOut out_view{got[i].data(), 8};
     planned.infer_views({&in_view, 1}, {&out_view, 1});
+    builds.push_back(planned.engine().stats().table_builds);
   }
   numerics::allocs::set_counting(false);
-
-  EXPECT_EQ(numerics::allocs::total(), 0U);
+  *allocs = numerics::allocs::total();
   EXPECT_EQ(planned.plan()->arena_stats().regrows, regrows_before);
+  for (std::size_t i = 0; i < executes; ++i) {
+    EXPECT_EQ(0, std::memcmp(got[i].data(), want[i].data(), got[i].size() * sizeof(float)))
+        << "execute " << i;
+  }
+  return builds;
+}
+
+TEST(GemmTableCache, ServingSequencePersistsOnceThenHits) {
+  std::size_t allocs = 0;
+  const std::vector<std::size_t> builds = run_table_sequence(true, 12, &allocs);
+  // Call 1 meets each step's frame for the first time (transient tables),
+  // call 2 sees it repeat and persists every step, later calls only hit.
+  EXPECT_EQ(builds[0], 0U);
+  for (std::size_t i = 1; i < builds.size(); ++i) {
+    EXPECT_EQ(builds[i], kCnnGemmSteps) << "execute " << i;
+  }
+  EXPECT_EQ(allocs, 0U);
+}
+
+TEST(GemmTableCache, ChangingFramesNeverPersist) {
+  std::size_t allocs = 0;
+  const std::vector<std::size_t> builds = run_table_sequence(false, 12, &allocs);
+  EXPECT_EQ(builds.back(), 0U);
+  EXPECT_EQ(allocs, 0U);
 }
 
 // ---------------------------------------------------------------------------
-// Serving: shard logits == a direct engine run per request, across worker
-// counts.
+// Serving: shard logits == the oracle per request, across worker counts.
 // ---------------------------------------------------------------------------
 
 const char* const kServingEffects = "thermal,noise";
@@ -314,20 +377,20 @@ std::vector<Tensor> serve_trace(std::size_t workers, const std::vector<Tensor>& 
   return results;
 }
 
-TEST(ServingHotPath, LogitsBitIdenticalToDirectEngineAcrossWorkers) {
+TEST(ServingHotPath, LogitsBitIdenticalToOracleAcrossWorkers) {
   const dnn::Dataset data =
       dnn::generate_classification(dnn::table1_proxy_task(), 64, /*salt=*/3);
   const std::vector<Tensor> trace = serve::make_mixed_size_trace(data, 24, 4);
 
-  // Reference: each request alone through the unplanned engine, from the
-  // boot effect state — the serving determinism contract.
+  // Reference: each request alone through the oracle, from the boot effect
+  // state — the serving determinism contract.
   dnn::Network network = make_mlp();
-  PhotonicInferenceEngine direct(network, vdp_with(kServingEffects));
+  PhotonicOracle oracle(vdp_with(kServingEffects));
   std::vector<Tensor> reference;
   reference.reserve(trace.size());
   for (const Tensor& input : trace) {
-    direct.engine().reset_effects();
-    reference.push_back(direct.infer_batch(input));
+    oracle.reset_effects();
+    reference.push_back(oracle.infer(network, input));
   }
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {

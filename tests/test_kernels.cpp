@@ -89,43 +89,6 @@ TEST(KernelParity, AbsMax) {
   }
 }
 
-TEST(KernelParity, ArmSumDiag) {
-  Rng rng(303);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  for (std::size_t len = 0; len <= 35; ++len) {
-    const auto av = random_vec(rng, len, 0.0, 1.0, 0.2);
-    const auto detune = random_vec(rng, len, 0.0, 0.2);
-    const auto dsq = random_vec(rng, len, 1e-4, 2e-2);
-    const double full = 0.968;
-    EXPECT_EQ(s.arm_sum_diag(av.data(), detune.data(), dsq.data(), full, len),
-              a.arm_sum_diag(av.data(), detune.data(), dsq.data(), full, len))
-        << "len=" << len;
-  }
-}
-
-TEST(KernelParity, ArmSumXtalk) {
-  Rng rng(404);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  // sep_stride > len exercises the strided row addressing of a sub-chunk
-  // evaluated against a full bank-sized separation table.
-  for (const std::size_t stride : {std::size_t{16}, std::size_t{23}}) {
-    for (std::size_t len = 0; len <= stride; ++len) {
-      const auto av = random_vec(rng, len, 0.0, 1.0, 0.25);
-      const auto detune = random_vec(rng, len, 0.0, 0.2);
-      const auto dsq = random_vec(rng, stride, 1e-4, 2e-2);
-      const auto sep = random_vec(rng, stride * stride, -3.0, 3.0);
-      const double full = 0.968;
-      EXPECT_EQ(s.arm_sum_xtalk(av.data(), detune.data(), sep.data(), stride,
-                                dsq.data(), full, len),
-                a.arm_sum_xtalk(av.data(), detune.data(), sep.data(), stride,
-                                dsq.data(), full, len))
-          << "stride=" << stride << " len=" << len;
-    }
-  }
-}
-
 // Transmission at detuning d for ring j's linewidth, the exact expression
 // the fused table kernels consume (photonics::MrBankTransferLut builds its
 // tables with the same one).
@@ -196,8 +159,8 @@ TEST(KernelParity, ArmPairDiagTblMatchesArmSumDifference) {
     const double pair = s.arm_pair_diag_tbl(av.data(), sel.data(), carry.data(),
                                             idle.data(), len);
     const double two_arms =
-        s.arm_sum_diag(av.data(), dpos.data(), dsq.data(), full, len) -
-        s.arm_sum_diag(av.data(), dneg.data(), dsq.data(), full, len);
+        arm_sum_diag(av.data(), dpos.data(), dsq.data(), full, len) -
+        arm_sum_diag(av.data(), dneg.data(), dsq.data(), full, len);
     EXPECT_EQ(pair, two_arms) << "len=" << len;
   }
 }
@@ -230,10 +193,10 @@ TEST(KernelParity, ArmPairXtalkTblMatchesArmSumDifference) {
     }
     const double pair = s.arm_pair_xtalk_tbl(av.data(), sel.data(), carry.data(),
                                              idle.data(), len);
-    const double two_arms = s.arm_sum_xtalk(av.data(), dpos.data(), sep.data(),
-                                            len, dsq.data(), full, len) -
-                            s.arm_sum_xtalk(av.data(), dneg.data(), sep.data(),
-                                            len, dsq.data(), full, len);
+    const double two_arms = arm_sum_xtalk(av.data(), dpos.data(), sep.data(),
+                                          len, dsq.data(), full, len) -
+                            arm_sum_xtalk(av.data(), dneg.data(), sep.data(),
+                                          len, dsq.data(), full, len);
     EXPECT_EQ(pair, two_arms) << "len=" << len;
   }
 }

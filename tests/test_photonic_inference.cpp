@@ -1,7 +1,13 @@
 // Whole-model photonic inference engine tests: a trained CNN executed with
-// every CONV/FC dot product on the simulated analog datapath.
+// every CONV/FC dot product on the simulated analog datapath, checked
+// bit for bit against the VdpSimulator::dot oracle.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "core/effects.hpp"
+#include "core/execution_plan.hpp"
 #include "core/photonic_inference.hpp"
 #include "dnn/activations.hpp"
 #include "dnn/conv2d.hpp"
@@ -11,6 +17,7 @@
 #include "dnn/reshape.hpp"
 #include "dnn/trainer.hpp"
 #include "numerics/rng.hpp"
+#include "photonic_oracle.hpp"
 
 namespace {
 
@@ -117,6 +124,53 @@ TEST(PhotonicInference, BatchedMatchesPerSample) {
   EXPECT_EQ(batched.stats().samples_inferred, 6u);
   EXPECT_EQ(batched.stats().photonic_dot_products,
             scalar.stats().photonic_dot_products);
+}
+
+TEST(PhotonicInference, InferBatchMatchesOracleForEveryBatchSize) {
+  numerics::Rng rng(28);
+  dnn::Network net = tiny_cnn(rng);
+  const dnn::Dataset data = dnn::generate_classification(tiny_task(), 6, 6);
+  core::VdpSimOptions vdp;
+  vdp.effects = core::EffectConfig::parse("all");
+  core::PhotonicInferenceEngine engine(net, vdp);
+  oracle::PhotonicOracle reference(vdp);
+  for (std::size_t rows = 1; rows <= 6; ++rows) {
+    SCOPED_TRACE(rows);
+    const dnn::Tensor batch = dnn::batch_images(data, 0, rows);
+    const dnn::Tensor want = reference.infer(net, batch);
+    const dnn::Tensor got = engine.infer_batch(batch);
+    ASSERT_EQ(want.shape(), got.shape());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.numel() * sizeof(float)));
+  }
+}
+
+TEST(PhotonicInference, LayerRangesStitchToOnePass) {
+  // Trunk [0, 3) and tail [3, end) through two caller-held plans, on one
+  // continuous effect timeline, reproduce infer_batch bit for bit; only the
+  // full pass counts samples.
+  numerics::Rng rng(29);
+  dnn::Network net = tiny_cnn(rng);
+  const dnn::Dataset data = dnn::generate_classification(tiny_task(), 3, 7);
+  const dnn::Tensor batch = dnn::batch_images(data, 0, 3);
+  core::VdpSimOptions vdp;
+  vdp.effects = core::EffectConfig::parse("all");
+  core::PhotonicInferenceEngine whole(net, vdp);
+  core::PhotonicInferenceEngine split(net, vdp);
+  const dnn::Tensor want = whole.infer_batch(batch);
+
+  std::unique_ptr<core::ExecutionPlan> trunk;
+  std::unique_ptr<core::ExecutionPlan> tail;
+  const dnn::Tensor mid = split.infer_range(trunk, batch, 0, 3);
+  const dnn::Tensor got = split.infer_range(tail, mid, 3, net.layer_count());
+  ASSERT_NE(trunk, nullptr);
+  EXPECT_EQ(trunk->end_layer(), 3u);
+  EXPECT_EQ(tail->begin_layer(), 3u);
+  ASSERT_EQ(want.shape(), got.shape());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.numel() * sizeof(float)));
+  EXPECT_EQ(split.stats().samples_inferred, 0u);
+  EXPECT_EQ(split.stats().photonic_dot_products, whole.stats().photonic_dot_products);
+  EXPECT_EQ(whole.stats().samples_inferred, 3u);
+  EXPECT_THROW((void)split.infer_range(tail, mid, 4, 3), std::invalid_argument);
 }
 
 TEST(PhotonicInference, LayerErrorTrackingIsOptIn) {

@@ -5,6 +5,7 @@
 // trip — parse(serialize(spec)) is the identity on the canonical form.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -148,6 +149,25 @@ TEST(Scenario, ModeratelyNestedExpressionStillEvaluates) {
   const ScenarioSpec spec =
       parse_text("[datapath]\nresolution_bits = " + nested(100, "4 + 4") + "\n");
   EXPECT_EQ(spec.config.vdp.resolution_bits, 8u);
+}
+
+TEST(Scenario, FlatMegabyteSumParsesInLinearTime) {
+  // 2^21 terms of "1+" (4 MB). Copying the unread text per literal would
+  // make this quadratic: minutes instead of milliseconds.
+  constexpr std::size_t kTerms = std::size_t{1} << 21;
+  std::string sum;
+  sum.reserve(2 * kTerms);
+  for (std::size_t i = 0; i < kTerms; ++i) sum += i == 0 ? "1" : "+1";
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(scenario::eval_expression(sum), static_cast<double>(kTerms));
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed.count(), 5.0);
+
+  // Literal scanning keeps exponents, hex seeds and operators apart.
+  EXPECT_DOUBLE_EQ(scenario::eval_expression("1.5e+3-2E-1"), 1499.8);
+  EXPECT_EQ(scenario::eval_expression("0x1e+5"), 35.0);
+  EXPECT_EQ(scenario::eval_expression("0xFFFFFFFFFFFFFFFF"),
+            static_cast<double>(0xFFFFFFFFFFFFFFFFULL));
 }
 
 TEST(Scenario, ExtensionSectionsAdmittedAndReadable) {
