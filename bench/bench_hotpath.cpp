@@ -43,6 +43,7 @@
 #include "dnn/models.hpp"
 #include "numerics/alloc_counter.hpp"
 #include "numerics/rng.hpp"
+#include "numerics/stats.hpp"
 #include "serve/serving_runtime.hpp"
 #include "../tests/photonic_oracle.hpp"
 
@@ -202,7 +203,8 @@ LatencyResult run_dispatch_latency(xl::dnn::Network& prototype) {
       runtime.submit("table1-proxy-mlp", lone).get();
       latencies.push_back(elapsed_us(t0, Clock::now()));
     }
-    const auto [p50, p99] = serve::latency_p50_p99_us(std::move(latencies));
+    const double p50 = numerics::percentile(latencies, 50.0);
+    const double p99 = numerics::percentile(latencies, 99.0);
     // Best of N by p50: scheduling jitter only ever slows a run down.
     if (best.p50_us == 0.0 || p50 < best.p50_us) best = {p50, p99};
   }

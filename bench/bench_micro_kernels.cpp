@@ -276,25 +276,6 @@ void BM_KernelGemm_Dispatch(benchmark::State& state) {
 BENCHMARK(BM_KernelGemm_Scalar)->Args({256, 16});
 BENCHMARK(BM_KernelGemm_Dispatch)->Args({256, 16});
 
-void bench_kernel_abs_max(benchmark::State& state,
-                          const numerics::kernels::KernelTable& kt) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  numerics::Rng rng(12);
-  const auto v = random_vector(n, rng, -4.0, 4.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kt.abs_max(v.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-void BM_KernelAbsMax_Scalar(benchmark::State& state) {
-  bench_kernel_abs_max(state, numerics::kernels::scalar_table());
-}
-void BM_KernelAbsMax_Dispatch(benchmark::State& state) {
-  bench_kernel_abs_max(state, numerics::kernels::active_table());
-}
-BENCHMARK(BM_KernelAbsMax_Scalar)->Arg(4096);
-BENCHMARK(BM_KernelAbsMax_Dispatch)->Arg(4096);
-
 void bench_kernel_hash_gaussian_n(benchmark::State& state,
                                   const numerics::kernels::KernelTable& kt) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -208,8 +208,8 @@ void print_serve(const xl::scenario::ScenarioSpec& spec,
   std::printf("  requests   : %zu (%zu samples, %zu micro-batches, mean %.2f "
               "rows/batch)\n",
               stats.requests, stats.samples, stats.batches, stats.mean_batch_rows());
-  const auto [p50, p99] = serve::latency_p50_p99_us(stats.latency_us);
-  std::printf("  latency    : p50 %.0f us, p99 %.0f us\n", p50, p99);
+  std::printf("  latency    : p50 %.0f us, p99 %.0f us\n", outcome.latency_p50_us,
+              outcome.latency_p99_us);
   std::printf("  throughput : %.0f samples/s (wall %.1f ms)\n", outcome.achieved_fps,
               outcome.wall_us * 1e-3);
   std::printf("  accuracy   : %.3f (photonic, effects: %s)\n", outcome.served_accuracy,

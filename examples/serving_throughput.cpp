@@ -19,6 +19,7 @@
 #include "api/api.hpp"
 #include "dnn/datasets.hpp"
 #include "dnn/models.hpp"
+#include "numerics/stats.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/serving_runtime.hpp"
 
@@ -29,6 +30,8 @@ struct ReplayOutcome {
   xl::serve::ServingStats stats;
   double wall_us = 0.0;
   double fps = 0.0;
+  double p50_us = 0.0;  // Request latency: queue_us + service_us.
+  double p99_us = 0.0;
 };
 
 ReplayOutcome replay(xl::api::Session& session, xl::dnn::Table1ProxyMlp& proxy,
@@ -52,9 +55,11 @@ ReplayOutcome replay(xl::api::Session& session, xl::dnn::Table1ProxyMlp& proxy,
 
   ReplayOutcome outcome;
   std::size_t samples = 0;
+  std::vector<double> latencies;
   for (auto& future : futures) {
     serve::InferResult result = future.get();
     samples += result.logits.dim(0);
+    latencies.push_back(result.queue_us + result.service_us);
     outcome.logits.push_back(std::move(result.logits));
   }
   outcome.wall_us =
@@ -62,6 +67,10 @@ ReplayOutcome replay(xl::api::Session& session, xl::dnn::Table1ProxyMlp& proxy,
   runtime->stop();
   outcome.stats = runtime->stats();
   outcome.fps = static_cast<double>(samples) * 1e6 / outcome.wall_us;
+  if (!latencies.empty()) {
+    outcome.p50_us = numerics::percentile(latencies, 50.0);
+    outcome.p99_us = numerics::percentile(latencies, 99.0);
+  }
   return outcome;
 }
 
@@ -82,10 +91,10 @@ int main() {
   const ReplayOutcome two = replay(session, proxy, spec, 2);
 
   auto describe = [](const char* tag, const ReplayOutcome& r) {
-    const auto [p50, p99] = serve::latency_p50_p99_us(r.stats.latency_us);
     std::printf("%s: %5.0f samples/s | p50 %7.0f us | p99 %7.0f us | "
                 "%zu batches (mean %.2f rows)\n",
-                tag, r.fps, p50, p99, r.stats.batches, r.stats.mean_batch_rows());
+                tag, r.fps, r.p50_us, r.p99_us, r.stats.batches,
+                r.stats.mean_batch_rows());
   };
   describe("1 shard ", one);
   describe("2 shards", two);

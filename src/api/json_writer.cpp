@@ -249,9 +249,6 @@ void write_serving_stats(JsonWriter& writer, const std::string& key,
   writer.field("batches", stats.batches);
   writer.field("mean_batch_rows", stats.mean_batch_rows());
   writer.field("busy_us", stats.busy_us);
-  const auto [p50, p99] = serve::latency_p50_p99_us(stats.latency_us);
-  writer.field("latency_p50_us", p50);
-  writer.field("latency_p99_us", p99);
   writer.begin_array("batch_rows_histogram");
   for (std::size_t rows = 0; rows < stats.batch_rows_histogram.size(); ++rows) {
     if (stats.batch_rows_histogram[rows] == 0) continue;

@@ -83,7 +83,7 @@ void write_pareto_front(JsonWriter& writer, const core::DseResult& result);
 void write_dse_stats(JsonWriter& writer, const core::DseStats& stats);
 
 /// Emit a serving-runtime snapshot as a named object: request/sample/batch
-/// counters, mean batch rows, p50/p99 latency, the batch-size histogram
+/// counters, mean batch rows, busy time, the batch-size histogram
 /// (only non-empty bins), and the merged photonic work counters.
 void write_serving_stats(JsonWriter& writer, const std::string& key,
                          const serve::ServingStats& stats);

@@ -23,9 +23,9 @@ std::size_t round64(std::size_t bytes) {
   return (bytes + 63U) & ~static_cast<std::size_t>(63U);
 }
 
-/// DAC scale of one operand row: max |v| over its elements. The scalar max
-/// of |double(v)| equals every abs_max kernel (float -> double is exact and
-/// max is order-free), and it is VdpSimulator::dot's own scale pass.
+/// DAC scale of one operand row: max |v| over its elements (float -> double
+/// is exact and max is order-free), matching VdpSimulator::dot's own scale
+/// pass.
 template <typename T>
 double row_scale(const T* row, std::size_t k) {
   double m = 0.0;

@@ -49,7 +49,6 @@ ExecutionPlan::ExecutionPlan(PhotonicInferenceEngine& engine,
   sample_shape_[0] = 1;
   sample_numel_ = shape_numel(sample_shape_);
   max_batch_ = max_batch;
-  stats_.max_batch = max_batch;
   layer_dt_us_ = engine_.engine().options().effects.thermal_stage.dt_us;
 
   BatchedVdpEngine& vdp = engine_.engine();
@@ -315,7 +314,6 @@ void ExecutionPlan::execute(std::span<const RowViewIn> inputs,
     off += v.rows;
   }
 
-  ++stats_.executions;
   if (full_pass_) {
     engine_.stats_.samples_inferred += total;
     engine_.stats_.batches_inferred += 1;

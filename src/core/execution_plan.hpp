@@ -45,12 +45,10 @@
 
 namespace xl::core {
 
-/// Compile-time and run-time telemetry of one plan.
+/// Compile-time telemetry of one plan.
 struct PlanStats {
-  std::size_t executions = 0;       ///< execute() calls served.
   std::size_t planned_layers = 0;   ///< Layers compiled to allocation-free steps.
   std::size_t fallback_layers = 0;  ///< Layers still routed through forward().
-  std::size_t max_batch = 0;        ///< Row capacity this plan was compiled for.
 };
 
 class ExecutionPlan {

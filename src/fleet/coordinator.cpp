@@ -88,7 +88,7 @@ std::future<serve::InferResult> FleetCoordinator::submit(
     throw std::invalid_argument("FleetCoordinator: unknown model '" + model +
                                 "'");
   }
-  const std::uint64_t sequence = next_sequence_.fetch_add(1);
+  const std::uint64_t sequence = next_wire_sequence_.fetch_add(1);
   std::future<serve::InferResult> future;
   {
     // Register the promise BEFORE the frame is in flight — the receiver

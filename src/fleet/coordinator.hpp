@@ -133,7 +133,7 @@ class FleetCoordinator {
   std::thread receiver_;
   std::mutex pending_mutex_;
   std::map<std::uint64_t, std::promise<serve::InferResult>> pending_;
-  std::atomic<std::uint64_t> next_sequence_{1};
+  std::atomic<std::uint64_t> next_wire_sequence_{1};  ///< Frame header ticket.
   std::atomic<std::size_t> requests_{0};
 
   std::atomic<bool> started_{false};

@@ -10,16 +10,6 @@
 
 namespace xl::numerics {
 
-Vector row_abs_max(const Matrix& m) {
-  const kernels::KernelTable& kt = kernels::active_table();
-  Vector out(m.rows());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const std::span<const double> row = m.row(r);
-    out[r] = kt.abs_max(row.data(), row.size());
-  }
-  return out;
-}
-
 Matrix matmul_transposed(const Matrix& a, const Matrix& b, std::size_t tile) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_transposed: inner dimension mismatch");

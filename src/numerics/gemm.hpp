@@ -20,10 +20,6 @@
 
 namespace xl::numerics {
 
-/// Per-row max |.| of a row-major matrix (the DAC row-normalization kernel).
-/// Returns a vector of m.rows() entries; zero rows yield 0.
-[[nodiscard]] Vector row_abs_max(const Matrix& m);
-
 /// C = A * B^T: A is (m x k), B is (n x k), C is (m x n). Throws
 /// std::invalid_argument on inner-dimension mismatch. Parallelized on the
 /// xl::exec pool over row tiles (`tile` rows of A per work item; 0 selects

@@ -6,8 +6,6 @@
 // contract.
 #include "numerics/kernels.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 #include "numerics/rng.hpp"
@@ -43,12 +41,6 @@ void gemm_row_panels_scalar(const double* a, const double* pack, std::size_t k,
     out[p * 4 + 2] = acc2;
     out[p * 4 + 3] = acc3;
   }
-}
-
-double abs_max_scalar(const double* v, std::size_t n) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < n; ++i) best = std::max(best, std::abs(v[i]));
-  return best;
 }
 
 double arm_pair_diag_tbl_scalar(const double* a, const unsigned char* sel,
@@ -100,10 +92,9 @@ void hash_gaussian_n_scalar(std::uint64_t key, std::uint64_t base_counter,
 }
 
 constexpr KernelTable kScalarTable = {
-    gemm_row_panels_scalar,   abs_max_scalar,
-    arm_pair_diag_tbl_scalar, arm_pair_xtalk_tbl_scalar,
-    hash_gaussian_keys_scalar, hash_gaussian_n_scalar,
-    "scalar",
+    gemm_row_panels_scalar, arm_pair_diag_tbl_scalar,
+    arm_pair_xtalk_tbl_scalar, hash_gaussian_keys_scalar,
+    hash_gaussian_n_scalar, "scalar",
 };
 
 // [[maybe_unused]]: only referenced when the AVX2 TU is compiled in.

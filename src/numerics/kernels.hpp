@@ -29,11 +29,8 @@
 //     correctly-rounded by IEEE); log/cos go through the scalar libm calls so
 //     every sample matches hash_gaussian() bit for bit.
 // Consequently a 0-ulp parity tolerance is enforced by the tests
-// (tests/test_kernels.cpp) rather than merely approximated.
-//
-// abs_max assumes non-NaN input (|.| and max are exact, order-free
-// operations on finite doubles); all other kernels are order-exact for any
-// input.
+// (tests/test_kernels.cpp) rather than merely approximated. Every kernel
+// is order-exact for any input.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +49,6 @@ struct KernelTable {
   /// accumulation is strictly sequential over i with mul+add rounding.
   void (*gemm_row_panels)(const double* a, const double* pack, std::size_t k,
                           std::size_t n_panels, double* out);
-
-  /// max_i |v[i]| (0 for n == 0). Exact for non-NaN input in any lane order.
-  double (*abs_max)(const double* v, std::size_t n);
 
   /// Fused balanced-PD arm sums over precomputed ring transmissions, no
   /// crosstalk. `carry[i]`/`idle[i]` hold ring i's transmission when it

@@ -21,7 +21,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -73,33 +72,6 @@ void gemm_row_panels_avx2(const double* a, const double* pack, std::size_t k,
   for (; p < n_panels; ++p) {
     _mm256_storeu_pd(out + p * 4, panel_accumulate(a, pack + p * 4 * k, k));
   }
-}
-
-// --- row |.| max -----------------------------------------------------------
-
-double abs_max_avx2(const double* v, std::size_t n) {
-  // |.| and max are exact operations, so lane order is free (non-NaN input
-  // per the header contract).
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d m0 = _mm256_setzero_pd();
-  __m256d m1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    m0 = _mm256_max_pd(m0, _mm256_andnot_pd(sign_mask, _mm256_loadu_pd(v + i)));
-    m1 = _mm256_max_pd(m1,
-                       _mm256_andnot_pd(sign_mask, _mm256_loadu_pd(v + i + 4)));
-  }
-  if (i + 4 <= n) {
-    m0 = _mm256_max_pd(m0, _mm256_andnot_pd(sign_mask, _mm256_loadu_pd(v + i)));
-    i += 4;
-  }
-  const __m256d m = _mm256_max_pd(m0, m1);
-  const __m128d hi = _mm256_extractf128_pd(m, 1);
-  __m128d best2 = _mm_max_pd(_mm256_castpd256_pd128(m), hi);
-  best2 = _mm_max_sd(best2, _mm_unpackhi_pd(best2, best2));
-  double best = _mm_cvtsd_f64(best2);
-  for (; i < n; ++i) best = std::max(best, std::abs(v[i]));
-  return best;
 }
 
 // --- Lorentzian arm sums ---------------------------------------------------
@@ -290,10 +262,9 @@ void hash_gaussian_n_avx2(std::uint64_t key, std::uint64_t base_counter,
 }
 
 constexpr KernelTable kAvx2Table = {
-    gemm_row_panels_avx2,   abs_max_avx2,
-    arm_pair_diag_tbl_avx2, arm_pair_xtalk_tbl_avx2,
-    hash_gaussian_keys_avx2, hash_gaussian_n_avx2,
-    "avx2",
+    gemm_row_panels_avx2, arm_pair_diag_tbl_avx2,
+    arm_pair_xtalk_tbl_avx2, hash_gaussian_keys_avx2,
+    hash_gaussian_n_avx2, "avx2",
 };
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "dnn/loss.hpp"
 #include "dnn/models.hpp"
 #include "fleet/coordinator.hpp"
+#include "numerics/stats.hpp"
 #include "serve/model_repository.hpp"
 #include "serve/serving_runtime.hpp"
 
@@ -196,13 +197,16 @@ ScenarioOutcome run_dse(const ScenarioSpec& spec, api::Session& session,
 }
 
 /// The shared serve/fleet replay loop: submit the trace (paced by the
-/// arrival gaps), score served accuracy against the dataset labels, and
-/// fingerprint the logits in request order.
+/// arrival gaps), score served accuracy against the dataset labels,
+/// fingerprint the logits in request order, and take the latency
+/// percentiles from each result's queue_us + service_us.
 struct ReplayScore {
   double accuracy = 0.0;
   std::size_t samples = 0;
   std::uint64_t checksum = 0;
   double wall_us = 0.0;
+  double latency_p50_us = 0.0;
+  double latency_p99_us = 0.0;
 };
 
 template <typename SubmitFn>
@@ -225,19 +229,39 @@ ReplayScore replay(const dnn::Dataset& data,
   double correct = 0.0;
   std::vector<dnn::Tensor> logits;
   logits.reserve(futures.size());
+  std::vector<double> latencies;
+  latencies.reserve(futures.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
     serve::InferResult result = futures[i].get();
     const auto [start, rows] = slices[i];
     correct += static_cast<double>(rows) *
                dnn::accuracy(result.logits, dnn::batch_labels(data, start, rows));
     score.samples += rows;
+    latencies.push_back(result.queue_us + result.service_us);
     logits.push_back(std::move(result.logits));
   }
   score.wall_us =
       std::chrono::duration<double, std::micro>(serve::Clock::now() - t0).count();
   score.accuracy = correct / static_cast<double>(score.samples);
   score.checksum = fnv1a_logits(logits);
+  if (!latencies.empty()) {
+    score.latency_p50_us = numerics::percentile(latencies, 50.0);
+    score.latency_p99_us = numerics::percentile(latencies, 99.0);
+  }
   return score;
+}
+
+/// Copy a replay's score into the serve/fleet outcome fields.
+void record_replay(ScenarioOutcome& outcome, const ReplayScore& score) {
+  outcome.served_accuracy = score.accuracy;
+  outcome.served_samples = score.samples;
+  outcome.logits_checksum = score.checksum;
+  outcome.wall_us = score.wall_us;
+  outcome.achieved_fps = score.wall_us > 0.0
+                             ? static_cast<double>(score.samples) * 1e6 / score.wall_us
+                             : 0.0;
+  outcome.latency_p50_us = score.latency_p50_us;
+  outcome.latency_p99_us = score.latency_p99_us;
 }
 
 ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
@@ -271,13 +295,7 @@ ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
       });
   runtime->stop();
   outcome.serving_stats = runtime->stats();
-  outcome.served_accuracy = score.accuracy;
-  outcome.served_samples = score.samples;
-  outcome.logits_checksum = score.checksum;
-  outcome.wall_us = score.wall_us;
-  outcome.achieved_fps = score.wall_us > 0.0
-                             ? static_cast<double>(score.samples) * 1e6 / score.wall_us
-                             : 0.0;
+  record_replay(outcome, score);
 
   writer.begin_object("serving");
   writer.field("model", "table1-proxy-mlp");
@@ -296,9 +314,8 @@ ScenarioOutcome run_serve(const ScenarioSpec& spec, api::Session& session,
   writer.begin_object("timing");
   writer.field("wall_us", score.wall_us);
   writer.field("achieved_fps", outcome.achieved_fps);
-  const auto [p50, p99] = serve::latency_p50_p99_us(outcome.serving_stats.latency_us);
-  writer.field("latency_p50_us", p50);
-  writer.field("latency_p99_us", p99);
+  writer.field("latency_p50_us", outcome.latency_p50_us);
+  writer.field("latency_p99_us", outcome.latency_p99_us);
   api::write_serving_stats(writer, "serving", outcome.serving_stats);
   writer.end_object();
   return outcome;
@@ -339,13 +356,7 @@ ScenarioOutcome run_fleet(const ScenarioSpec& spec, api::Session& session,
       });
   coordinator->stop();
   outcome.fleet_stats = coordinator->stats();
-  outcome.served_accuracy = score.accuracy;
-  outcome.served_samples = score.samples;
-  outcome.logits_checksum = score.checksum;
-  outcome.wall_us = score.wall_us;
-  outcome.achieved_fps = score.wall_us > 0.0
-                             ? static_cast<double>(score.samples) * 1e6 / score.wall_us
-                             : 0.0;
+  record_replay(outcome, score);
 
   writer.begin_object("fleet");
   writer.field("nodes", spec.fleet_nodes);
@@ -364,6 +375,8 @@ ScenarioOutcome run_fleet(const ScenarioSpec& spec, api::Session& session,
   writer.begin_object("timing");
   writer.field("wall_us", score.wall_us);
   writer.field("achieved_fps", outcome.achieved_fps);
+  writer.field("latency_p50_us", outcome.latency_p50_us);
+  writer.field("latency_p99_us", outcome.latency_p99_us);
   api::write_fleet_stats(writer, "fleet", outcome.fleet_stats);
   writer.end_object();
   return outcome;

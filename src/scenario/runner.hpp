@@ -57,6 +57,9 @@ struct ScenarioOutcome {
   std::size_t served_samples = 0;
   double wall_us = 0.0;
   double achieved_fps = 0.0;
+  /// Request latency (InferResult queue_us + service_us) percentiles.
+  double latency_p50_us = 0.0;
+  double latency_p99_us = 0.0;
 };
 
 class ScenarioRunner {

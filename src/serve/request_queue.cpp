@@ -15,7 +15,6 @@ bool RequestQueue::push(PendingRequest&& pending) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_full_.wait(lock, [&] { return queue_.size() < capacity_ || closed_; });
   if (closed_) return false;
-  pending.sequence = next_sequence_++;
   pending.enqueued_at = Clock::now();
   queue_.push_back(std::move(pending));
   lock.unlock();

@@ -39,7 +39,6 @@ struct PendingRequest {
   /// (planned execution scatters logits straight here) and moves it out.
   InferResult result;
   Clock::time_point enqueued_at{};
-  std::uint64_t sequence = 0;  ///< Admission order ticket.
 
   [[nodiscard]] std::size_t rows() const noexcept { return request.rows(); }
 };
@@ -94,7 +93,6 @@ class RequestQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<PendingRequest> queue_;
-  std::uint64_t next_sequence_ = 0;
   bool closed_ = false;
 };
 

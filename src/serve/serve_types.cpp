@@ -34,30 +34,18 @@ void ServingOptions::validate() const {
   }
 }
 
-namespace {
-
-double percentile_from_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-}  // namespace
-
-double latency_percentile_us(std::vector<double> latencies, double p) {
-  std::sort(latencies.begin(), latencies.end());
-  return percentile_from_sorted(latencies, p);
-}
-
-std::pair<double, double> latency_p50_p99_us(std::vector<double> latencies) {
-  std::sort(latencies.begin(), latencies.end());
-  return {percentile_from_sorted(latencies, 50.0),
-          percentile_from_sorted(latencies, 99.0)};
+void ServingStats::merge(const ServingStats& other) {
+  requests += other.requests;
+  samples += other.samples;
+  batches += other.batches;
+  busy_us += other.busy_us;
+  if (batch_rows_histogram.size() < other.batch_rows_histogram.size()) {
+    batch_rows_histogram.resize(other.batch_rows_histogram.size(), 0);
+  }
+  for (std::size_t r = 0; r < other.batch_rows_histogram.size(); ++r) {
+    batch_rows_histogram[r] += other.batch_rows_histogram[r];
+  }
+  inference.merge(other.inference);
 }
 
 void copy_parameters(dnn::Network& src, dnn::Network& dst) {

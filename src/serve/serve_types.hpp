@@ -86,35 +86,32 @@ struct ServingOptions {
   void validate() const;
 };
 
-/// Aggregated runtime telemetry. Per-shard counters are merged under the
-/// runtime's stats mutex at batch completion, so a snapshot is always
-/// race-free (the TSan CI job runs the serving tests).
+/// Serving telemetry: fixed-size counters only. Each shard accumulates one
+/// under its stats lock at batch completion; ServingRuntime::stats() sums
+/// the shard snapshots through merge(), so a snapshot is race-free (the
+/// TSan CI job runs the serving tests) and costs O(shards x max_batch)
+/// however many requests were served. Per-request latency is not kept
+/// here: every InferResult carries its own queue_us + service_us.
 struct ServingStats {
   std::size_t requests = 0;  ///< Requests completed.
   std::size_t samples = 0;   ///< Samples (tensor rows) completed.
   std::size_t batches = 0;   ///< Micro-batches executed.
-  /// histogram[r] = micro-batches that carried exactly r rows (index 0 unused).
+  /// histogram[r] = micro-batches that carried exactly r rows (max_batch + 1
+  /// bins; index 0 unused).
   std::vector<std::size_t> batch_rows_histogram;
   /// Work counters summed over every shard engine (all models).
   core::PhotonicInferenceStats inference;
-  /// Per-request admission -> completion latency, in admission order.
-  std::vector<double> latency_us;
-  double busy_us = 0.0;  ///< Summed shard service time (all shards).
+  double busy_us = 0.0;  ///< Summed shard service time (compute + pacing).
 
   [[nodiscard]] double mean_batch_rows() const noexcept {
     return batches > 0 ? static_cast<double>(samples) / static_cast<double>(batches)
                        : 0.0;
   }
+
+  /// Add `other` into this snapshot: counters summed, histograms summed bin
+  /// by bin (this one grows to other's length), engine counters merged.
+  void merge(const ServingStats& other);
 };
-
-/// p-th percentile (p in [0, 100]) by linear interpolation; 0 when empty.
-[[nodiscard]] double latency_percentile_us(std::vector<double> latencies, double p);
-
-/// The standard serving-report pair, computed from one sort of the history
-/// (every stats consumer needs both; sorting twice per report would double
-/// the cost on long-running latency histories).
-[[nodiscard]] std::pair<double, double> latency_p50_p99_us(
-    std::vector<double> latencies);
 
 /// Copy every learnable parameter of `src` into the identically structured
 /// `dst` (the shard-replication primitive: one immutable prototype network,

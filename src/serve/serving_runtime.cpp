@@ -1,6 +1,5 @@
 #include "serve/serving_runtime.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -137,27 +136,7 @@ ServingStats ServingRuntime::stats() const {
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   ServingStats out;
   out.batch_rows_histogram.assign(options_.max_batch + 1, 0);
-  std::vector<std::pair<std::uint64_t, double>> latencies;
-  for (const auto& shard : shards_) {
-    const ShardStats s = shard->snapshot();
-    out.requests += s.requests;
-    out.samples += s.samples;
-    out.batches += s.batches;
-    out.busy_us += s.busy_us;
-    for (std::size_t r = 0;
-         r < s.batch_rows_histogram.size() && r < out.batch_rows_histogram.size(); ++r) {
-      out.batch_rows_histogram[r] += s.batch_rows_histogram[r];
-    }
-    out.inference.merge(s.inference);
-    latencies.insert(latencies.end(), s.latencies.begin(), s.latencies.end());
-  }
-  std::sort(latencies.begin(), latencies.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.latency_us.reserve(latencies.size());
-  for (const auto& [sequence, latency] : latencies) {
-    (void)sequence;
-    out.latency_us.push_back(latency);
-  }
+  for (const auto& shard : shards_) out.merge(shard->snapshot());
   return out;
 }
 

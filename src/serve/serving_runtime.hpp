@@ -12,7 +12,7 @@
 //              │               │               │
 //       AcceleratorShard  AcceleratorShard  AcceleratorShard
 //       (own replica networks + PhotonicInferenceEngines,
-//        own thermal state, own stats; nothing shared)
+//        own thermal state, own counters; nothing shared)
 //
 // Each shard has one dedicated std::thread, parked in the queue's blocking
 // pop between batches.
@@ -98,9 +98,10 @@ class ServingRuntime {
   [[nodiscard]] const core::VdpSimOptions& vdp_options() const noexcept { return vdp_; }
   [[nodiscard]] const ModelRepository& models() const noexcept { return models_; }
 
-  /// Race-free aggregate of every shard's counters (callable while
-  /// serving): batch histogram, merged PhotonicInferenceStats, and
-  /// per-request latencies sorted by admission order.
+  /// Race-free sum of every shard's counters (callable while serving):
+  /// request/sample/batch counts, busy time, the batch-rows histogram and
+  /// the merged PhotonicInferenceStats. Costs O(workers x max_batch) at any
+  /// request count; per-request latency travels in each InferResult.
   [[nodiscard]] ServingStats stats() const;
 
  private:

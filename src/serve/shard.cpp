@@ -41,7 +41,6 @@ AcceleratorShard::AcceleratorShard(std::size_t id, const ModelRepository& models
   // A micro-batch holds at most max_batch requests (each carries >= 1 row).
   in_views_.reserve(options_.max_batch);
   out_views_.reserve(options_.max_batch);
-  latency_scratch_.reserve(options_.max_batch);
 }
 
 double AcceleratorShard::paced_service_us(const std::string& model, std::size_t rows) {
@@ -105,15 +104,12 @@ void AcceleratorShard::execute(MicroBatch&& batch) {
     const Clock::time_point completed_at = Clock::now();
     const double service_us = elapsed_us(dispatched_at, completed_at);
 
-    latency_scratch_.clear();
     for (PendingRequest& pending : batch.requests) {
       pending.result.shard_id = id_;
       pending.result.batch_rows = batch.rows;
       pending.result.coalesced_requests = batch.requests.size();
       pending.result.queue_us = elapsed_us(pending.enqueued_at, dispatched_at);
       pending.result.service_us = service_us;
-      latency_scratch_.emplace_back(pending.sequence,
-                                    elapsed_us(pending.enqueued_at, completed_at));
       pending.promise.set_value(std::move(pending.result));
     }
 
@@ -124,9 +120,6 @@ void AcceleratorShard::execute(MicroBatch&& batch) {
     stats_.busy_us += service_us;
     if (batch.rows < stats_.batch_rows_histogram.size()) {
       stats_.batch_rows_histogram[batch.rows] += 1;
-    }
-    for (auto& latency : latency_scratch_) {
-      stats_.latencies.push_back(latency);
     }
     // Re-sum the engine counters (written only by this worker thread) into
     // the lock-guarded snapshot source.
@@ -147,7 +140,7 @@ void AcceleratorShard::execute(MicroBatch&& batch) {
   }
 }
 
-ShardStats AcceleratorShard::snapshot() const {
+ServingStats AcceleratorShard::snapshot() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
 }

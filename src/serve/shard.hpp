@@ -6,15 +6,14 @@
 // VdpSimOptions — so each shard has its own thermal time state, its own
 // LUTs, and no mutable state shared with any other shard. All replicas and
 // engines are built eagerly at construction (before worker threads exist),
-// keeping the hot path allocation- and lock-free except for the final stats
-// merge.
+// keeping the hot path allocation-free and lock-free except for the final
+// fixed-size counter update.
 //
 // Determinism: execute() returns every shard engine to its boot (t = 0)
 // effect state before running a micro-batch, so the batch sees the canonical
 // effect timeline regardless of which shard runs it or what ran before.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -30,18 +29,6 @@
 #include "serve/model_repository.hpp"
 
 namespace xl::serve {
-
-/// Telemetry of one shard; merged into ServingStats by the runtime.
-struct ShardStats {
-  std::size_t batches = 0;
-  std::size_t samples = 0;
-  std::size_t requests = 0;
-  double busy_us = 0.0;  ///< Summed service time (compute + pacing).
-  std::vector<std::size_t> batch_rows_histogram;  ///< [rows] -> batches.
-  core::PhotonicInferenceStats inference;         ///< Summed over models.
-  /// (admission sequence, admission -> completion latency in us).
-  std::vector<std::pair<std::uint64_t, double>> latencies;
-};
 
 class AcceleratorShard {
  public:
@@ -61,7 +48,7 @@ class AcceleratorShard {
   void execute(MicroBatch&& batch);
 
   /// Race-free copy of this shard's counters (callable while serving).
-  [[nodiscard]] ShardStats snapshot() const;
+  [[nodiscard]] ServingStats snapshot() const;
 
   [[nodiscard]] std::size_t id() const noexcept { return id_; }
 
@@ -85,14 +72,12 @@ class AcceleratorShard {
 
   /// Persistent planned-execution scratch (worker-thread only; reserved to
   /// max_batch at construction so execute() never reallocates them): row
-  /// views mapping request tensors straight into the plan, and the
-  /// (sequence, latency) pairs staged before the stats lock.
+  /// views mapping request tensors straight into the plan.
   std::vector<core::RowViewIn> in_views_;
   std::vector<core::RowViewOut> out_views_;
-  std::vector<std::pair<std::uint64_t, double>> latency_scratch_;
 
   mutable std::mutex stats_mutex_;
-  ShardStats stats_;
+  ServingStats stats_;
 };
 
 }  // namespace xl::serve

@@ -4,11 +4,12 @@
 // across worker counts), the GEMM table-cache persistence rule, the Arena
 // workspace semantics (alignment, mark/rewind, exhaustion regrow, reset
 // coalescing), the training-gated activation caches, and the
-// zero-allocation steady state measured through the operator-new
-// interposer.
+// zero-allocation steady state (engine and serving shard) measured through
+// the operator-new interposer.
 //
 // The ASan+UBSan CI job runs this binary (sanitize matrix covers the arena
-// and the interposed allocator paths).
+// and the interposed allocator paths); the TSan job runs it for the
+// serving tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -401,6 +402,46 @@ TEST(ServingHotPath, LogitsBitIdenticalToOracleAcrossWorkers) {
       expect_bit_identical(reference[i], served[i]);
     }
   }
+}
+
+TEST(ServingHotPath, ShardSteadyStateIsAllocationFree) {
+  // Counters, not a history: a shard that has served N requests holds
+  // nothing that grows with N, so its steady state never touches the heap.
+  constexpr std::size_t kBatches = 2048;
+  constexpr std::size_t kWarmup = 4;
+  dnn::Network prototype = make_mlp();
+  serve::ModelRepository models;
+  models.add(serve::table1_proxy_served_model(prototype));
+  const serve::ServedModel& entry = models.find("table1-proxy-mlp");
+  serve::AcceleratorShard shard(0, models, vdp_with(kServingEffects),
+                                serve::ServingOptions{});  // Pacing off.
+
+  // Each lone-request micro-batch (promise, input, preallocated result) is
+  // built up front: those are the submitter's allocations, not the shard's.
+  const Tensor input = make_batch(entry.input_shape, 1, 5);
+  std::vector<serve::MicroBatch> batches(kBatches);
+  for (serve::MicroBatch& batch : batches) {
+    batch.model = entry.name;
+    batch.rows = 1;
+    batch.requests.resize(1);
+    serve::PendingRequest& pending = batch.requests.front();
+    pending.request.model = entry.name;
+    pending.request.input = input;
+    pending.result.logits = Tensor(entry.output_shape);
+    pending.enqueued_at = serve::Clock::now();
+  }
+  for (std::size_t i = 0; i < kWarmup; ++i) shard.execute(std::move(batches[i]));
+
+  numerics::allocs::reset();
+  numerics::allocs::set_counting(true);
+  for (std::size_t i = kWarmup; i < kBatches; ++i) shard.execute(std::move(batches[i]));
+  numerics::allocs::set_counting(false);
+  EXPECT_EQ(numerics::allocs::total(), 0U);
+
+  const serve::ServingStats stats = shard.snapshot();
+  EXPECT_EQ(stats.requests, kBatches);
+  EXPECT_EQ(stats.samples, kBatches);
+  EXPECT_EQ(stats.batches, kBatches);
 }
 
 // ---------------------------------------------------------------------------

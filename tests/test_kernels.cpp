@@ -72,23 +72,6 @@ TEST(KernelParity, GemmRowPanels) {
   }
 }
 
-TEST(KernelParity, AbsMax) {
-  Rng rng(202);
-  const KernelTable& s = scalar_table();
-  const KernelTable& a = active_table();
-  for (std::size_t n = 0; n <= 67; ++n) {
-    const auto v = random_vec(rng, n, -5.0, 5.0, 0.1);
-    EXPECT_EQ(s.abs_max(v.data(), n), a.abs_max(v.data(), n)) << "n=" << n;
-  }
-  // Max sitting in every lane position, incl. a negative extremum.
-  for (std::size_t pos = 0; pos < 12; ++pos) {
-    std::vector<double> v(12, 0.25);
-    v[pos] = -7.5;
-    EXPECT_EQ(s.abs_max(v.data(), v.size()), a.abs_max(v.data(), v.size()));
-    EXPECT_EQ(a.abs_max(v.data(), v.size()), 7.5);
-  }
-}
-
 // Transmission at detuning d for ring j's linewidth, the exact expression
 // the fused table kernels consume (photonics::MrBankTransferLut builds its
 // tables with the same one).
@@ -273,21 +256,6 @@ TEST(KernelParity, MatmulTransposedMatchesNaiveAndIsTileInvariant) {
         for (std::size_t col = 0; col < n; ++col)
           EXPECT_EQ(c(r, col), ct(r, col)) << "tile=" << tile;
     }
-  }
-}
-
-TEST(KernelParity, RowAbsMaxMatchesNaive) {
-  Rng rng(707);
-  Matrix m(9, 37);
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = rng.uniform(-4.0, 4.0);
-  const Vector got = row_abs_max(m);
-  ASSERT_EQ(got.size(), m.rows());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    double best = 0.0;
-    for (std::size_t c = 0; c < m.cols(); ++c)
-      best = std::max(best, std::abs(m(r, c)));
-    EXPECT_EQ(got[r], best) << "r=" << r;
   }
 }
 

@@ -365,13 +365,22 @@ TEST(ServingRuntime, StatsAggregateAcrossShardsWithoutLoss) {
   options.deadline_us = 100.0;
   auto runtime = make_runtime(prototype, options);
   runtime->start();
-  (void)replay(*runtime, trace);
+  std::vector<std::future<InferResult>> futures;
+  for (const dnn::Tensor& input : trace) {
+    futures.push_back(runtime->submit("proxy", input));
+  }
+  // Each request's latency travels in its own result.
+  for (auto& future : futures) {
+    const InferResult result = future.get();
+    EXPECT_GE(result.queue_us, 0.0);
+    EXPECT_GT(result.service_us, 0.0);
+  }
   runtime->stop();
 
   const ServingStats stats = runtime->stats();
   EXPECT_EQ(stats.requests, trace.size());
   EXPECT_EQ(stats.samples, total_rows);
-  EXPECT_EQ(stats.latency_us.size(), trace.size());
+  EXPECT_EQ(stats.batch_rows_histogram.size(), options.max_batch + 1);
   std::size_t histogram_batches = 0;
   std::size_t histogram_rows = 0;
   for (std::size_t rows = 0; rows < stats.batch_rows_histogram.size(); ++rows) {
@@ -384,7 +393,29 @@ TEST(ServingRuntime, StatsAggregateAcrossShardsWithoutLoss) {
   EXPECT_EQ(stats.inference.samples_inferred, total_rows);
   EXPECT_EQ(stats.inference.batches_inferred, stats.batches);
   EXPECT_GT(stats.inference.photonic_matmuls, 0u);
-  for (const double latency : stats.latency_us) EXPECT_GT(latency, 0.0);
+}
+
+TEST(ServingStats, MergeSumsCountersAndHistograms) {
+  ServingStats a;
+  a.requests = 3;
+  a.samples = 5;
+  a.batches = 2;
+  a.busy_us = 10.0;
+  a.batch_rows_histogram = {0, 1, 0};
+  ServingStats b;
+  b.requests = 1;
+  b.samples = 4;
+  b.batches = 1;
+  b.busy_us = 2.5;
+  b.batch_rows_histogram = {0, 0, 0, 0, 1};
+  b.inference.photonic_macs = 7;
+  a.merge(b);
+  EXPECT_EQ(a.requests, 4u);
+  EXPECT_EQ(a.samples, 9u);
+  EXPECT_EQ(a.batches, 3u);
+  EXPECT_DOUBLE_EQ(a.busy_us, 12.5);
+  EXPECT_EQ(a.batch_rows_histogram, (std::vector<std::size_t>{0, 1, 0, 0, 1}));
+  EXPECT_EQ(a.inference.photonic_macs, 7u);
 }
 
 TEST(PhotonicInferenceStats, MergeSumsCountersAndMaxesError) {
